@@ -10,13 +10,31 @@ namespace internal {
 
 FlagBase::FlagBase(std::string name, std::string help)
     : name_(std::move(name)), help_(std::move(help)) {
-  FlagRegistry()[name_] = this;
+  FlagRegistry()[name_].push_back(this);
 }
 
-std::map<std::string, FlagBase*>& FlagRegistry() {
-  static auto* registry = new std::map<std::string, FlagBase*>();
+std::map<std::string, std::vector<FlagBase*>>& FlagRegistry() {
+  static auto* registry = new std::map<std::string, std::vector<FlagBase*>>();
   return *registry;
 }
+
+namespace {
+
+// A name takes the bare --name and --no-name forms only when every
+// registration under it is boolean.
+bool AllBool(const std::vector<FlagBase*>& flags) {
+  for (const FlagBase* flag : flags) {
+    if (!flag->IsBool()) return false;
+  }
+  return true;
+}
+
+Status ParseAll(const std::vector<FlagBase*>& flags, const std::string& text) {
+  for (FlagBase* flag : flags) LTC_RETURN_IF_ERROR(flag->Parse(text));
+  return Status::OK();
+}
+
+}  // namespace
 
 }  // namespace internal
 
@@ -102,7 +120,8 @@ template class Flag<bool>;
 
 std::string FlagUsage() {
   std::string out = "Flags:\n";
-  for (const auto& [name, flag] : internal::FlagRegistry()) {
+  for (const auto& [name, flags] : internal::FlagRegistry()) {
+    const internal::FlagBase* flag = flags.front();
     out += StrFormat("  --%-24s %s (default: %s)\n", name.c_str(),
                      flag->help().c_str(), flag->ValueString().c_str());
   }
@@ -145,17 +164,18 @@ Status ParseCommandLine(int argc, char** argv,
       return Status::InvalidArgument("unknown flag --" + name + "\n" +
                                      FlagUsage());
     }
-    internal::FlagBase* flag = it->second;
+    const std::vector<internal::FlagBase*>& flags = it->second;
+    const bool is_bool = internal::AllBool(flags);
     if (negated) {
-      if (!flag->IsBool() || has_value) {
+      if (!is_bool || has_value) {
         return Status::InvalidArgument("--no- form only valid for bool flags");
       }
-      LTC_RETURN_IF_ERROR(flag->Parse("false"));
+      LTC_RETURN_IF_ERROR(internal::ParseAll(flags, "false"));
       continue;
     }
     if (!has_value) {
-      if (flag->IsBool()) {
-        LTC_RETURN_IF_ERROR(flag->Parse("true"));
+      if (is_bool) {
+        LTC_RETURN_IF_ERROR(internal::ParseAll(flags, "true"));
         continue;
       }
       if (i + 1 >= argc) {
@@ -163,7 +183,7 @@ Status ParseCommandLine(int argc, char** argv,
       }
       value = argv[++i];
     }
-    LTC_RETURN_IF_ERROR(flag->Parse(value));
+    LTC_RETURN_IF_ERROR(internal::ParseAll(flags, value));
   }
   return Status::OK();
 }

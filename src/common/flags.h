@@ -5,6 +5,11 @@
 //   --name=value     --name value     --bool_flag     --no-bool_flag
 // Unknown flags produce an error Status so typos never silently change an
 // experiment.
+//
+// One name may be registered more than once (a binary that links a library
+// main next to its own flags, e.g. bench_serve_e2e with svc/serve_main.cc's
+// --tasks): every registration receives the parsed value, and usage lists
+// the name once.
 
 #ifndef LTC_COMMON_FLAGS_H_
 #define LTC_COMMON_FLAGS_H_
@@ -41,8 +46,8 @@ class FlagBase {
   std::string help_;
 };
 
-/// Global name -> flag map (file-scope registration order independent).
-std::map<std::string, FlagBase*>& FlagRegistry();
+/// Global name -> every flag registered under it, in registration order.
+std::map<std::string, std::vector<FlagBase*>>& FlagRegistry();
 
 }  // namespace internal
 

@@ -120,7 +120,6 @@ void RoadGraph::BuildLandmarks(int requested) {
   std::int32_t next = 0;
   for (int l = 0; l < count; ++l) {
     landmark_nodes_.push_back(next);
-    ws.source = -1;  // force a solve even for a repeated seed
     ShortestPaths(next, &ws);
     landmark_dist_.insert(landmark_dist_.end(), ws.dist.begin(),
                           ws.dist.end());
@@ -143,18 +142,36 @@ std::int32_t RoadGraph::Snap(const Point& p) const {
   return static_cast<std::int32_t>(snap_index_->Nearest(p));
 }
 
-void RoadGraph::ShortestPaths(std::int32_t source, Workspace* ws) const {
+void RoadGraph::Seed(std::int32_t source, Workspace* ws) const {
   if (ws->graph_id == id_ && ws->source == source) return;
-  const auto n = static_cast<std::size_t>(num_nodes());
-  ws->graph_id = id_;
+  if (ws->graph_id != id_) {
+    const auto n = static_cast<std::size_t>(num_nodes());
+    ws->graph_id = id_;
+    ws->dist.assign(n, kUnreachable);
+    ws->settled.assign(n, 0);
+    ws->heap.Reset(n);
+  } else {
+    for (const std::int32_t v : ws->touched) {
+      ws->dist[static_cast<std::size_t>(v)] = kUnreachable;
+      ws->settled[static_cast<std::size_t>(v)] = 0;
+    }
+    ws->heap.Clear();
+  }
+  ws->touched.clear();
   ws->source = source;
-  ws->dist.assign(n, kUnreachable);
   ws->dist[static_cast<std::size_t>(source)] = 0.0;
-  IndexedMinHeap<double> heap(n);
-  heap.PushOrDecrease(source, 0.0);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.PopMin();
-    if (d > ws->dist[static_cast<std::size_t>(u)]) continue;
+  ws->touched.push_back(source);
+  ws->heap.PushOrDecrease(source, 0.0);
+}
+
+void RoadGraph::SettleUntil(std::int32_t target, Workspace* ws) const {
+  std::vector<double>& dist = ws->dist;
+  while (!ws->heap.empty() &&
+         !(target >= 0 && ws->settled[static_cast<std::size_t>(target)])) {
+    // The indexed heap decreases keys in place, so a popped key is always
+    // the node's current (now final) distance.
+    const auto [d, u] = ws->heap.PopMin();
+    ws->settled[static_cast<std::size_t>(u)] = 1;
     const auto begin = static_cast<std::size_t>(
         offsets_[static_cast<std::size_t>(u)]);
     const auto end = static_cast<std::size_t>(
@@ -162,12 +179,26 @@ void RoadGraph::ShortestPaths(std::int32_t source, Workspace* ws) const {
     for (std::size_t k = begin; k < end; ++k) {
       const std::int32_t v = targets_[k];
       const double nd = d + weights_[k];
-      if (nd < ws->dist[static_cast<std::size_t>(v)]) {
-        ws->dist[static_cast<std::size_t>(v)] = nd;
-        heap.PushOrDecrease(v, nd);
+      double& dv = dist[static_cast<std::size_t>(v)];
+      if (nd < dv) {
+        if (dv == kUnreachable) ws->touched.push_back(v);
+        dv = nd;
+        ws->heap.PushOrDecrease(v, nd);
       }
     }
   }
+}
+
+void RoadGraph::ShortestPaths(std::int32_t source, Workspace* ws) const {
+  Seed(source, ws);
+  SettleUntil(-1, ws);
+}
+
+double RoadGraph::NodeDistance(std::int32_t u, std::int32_t v,
+                               Workspace* ws) const {
+  Seed(u, ws);
+  SettleUntil(v, ws);
+  return ws->dist[static_cast<std::size_t>(v)];
 }
 
 double RoadGraph::LandmarkLowerBound(std::int32_t u, std::int32_t v) const {
@@ -308,7 +339,7 @@ std::string RoadMetric::Name() const {
 
 RoadGraph::Workspace& RoadMetric::LocalWorkspace() const {
   // One workspace per thread, shared across RoadMetric instances; the
-  // graph-id key inside ShortestPaths invalidates it when graphs alternate.
+  // graph-id key inside Seed re-sizes it when graphs alternate.
   thread_local RoadGraph::Workspace ws;
   return ws;
 }

@@ -1,6 +1,6 @@
 // Road-network travel times behind the geo::Metric interface (DESIGN.md
-// §12): a CSR adjacency over plane-embedded nodes, full-Dijkstra shortest
-// paths with a reusable workspace, ALT-style landmark lower bounds, and a
+// §12): a CSR adjacency over plane-embedded nodes, shortest paths through a
+// resumable Dijkstra workspace, ALT-style landmark lower bounds, and a
 // snap-to-nearest-node bridge for off-graph points.
 //
 // The CSR layout mirrors the flow layer's (flow/network.h): one offsets
@@ -62,13 +62,28 @@ class RoadGraph {
     double weight = 0.0;
   };
 
-  /// Reusable single-source shortest-path scratch. A workspace caches the
-  /// last solved source, so repeated distance queries from one origin (the
-  /// gather pattern: one worker against many tasks) cost one Dijkstra.
+  /// Resumable single-source Dijkstra state. A query settles nodes only
+  /// until its target is settled and pauses there; the next query from the
+  /// same source resumes from the paused heap, so repeated queries from one
+  /// origin (the gather pattern: one worker against many tasks) cost at
+  /// most one full Dijkstra in total. A new source resets only the nodes
+  /// the previous one touched, and a new graph re-sizes the arrays; no
+  /// query allocates once the arrays have grown to the graph.
+  ///
+  /// Exactness: the pop sequence of a resumed solve is the full solve's,
+  /// paused at the target, and a node's distance is final when it is
+  /// popped. Every answer is therefore bit-identical to a full solve's, and
+  /// NodeDistance stays a pure function of (graph, u, v) whatever queries
+  /// the workspace served before (the geo::Metric determinism contract).
   struct Workspace {
+    /// Final distance for settled nodes, tentative for queued ones,
+    /// kUnreachable for nodes the current source has not reached.
     std::vector<double> dist;
+    std::vector<char> settled;          // popped from the heap
+    std::vector<std::int32_t> touched;  // nodes with a finite dist
+    IndexedMinHeap<double> heap{0};
     std::int32_t source = -1;
-    std::uint64_t graph_id = 0;  // invalidates the cache across graphs
+    std::uint64_t graph_id = 0;  // 0 = sized for no graph yet
   };
 
   static constexpr double kUnreachable =
@@ -113,15 +128,14 @@ class RoadGraph {
   std::int32_t Snap(const Point& p) const;
 
   /// Solves single-source shortest paths from `source` into ws->dist
-  /// (kUnreachable where disconnected). No-op when the workspace already
-  /// holds this (graph, source) solution.
+  /// (kUnreachable where disconnected), running the Dijkstra to exhaustion.
+  /// Resumes when the workspace already holds a partial solve from
+  /// `source`.
   void ShortestPaths(std::int32_t source, Workspace* ws) const;
 
-  /// Shortest-path distance u -> v through the workspace cache.
-  double NodeDistance(std::int32_t u, std::int32_t v, Workspace* ws) const {
-    ShortestPaths(u, ws);
-    return ws->dist[static_cast<std::size_t>(v)];
-  }
+  /// Shortest-path distance u -> v (kUnreachable when disconnected),
+  /// settling nodes from u only until v is settled.
+  double NodeDistance(std::int32_t u, std::int32_t v, Workspace* ws) const;
 
   /// ALT lower bound on NodeDistance(u, v): max over landmarks l of
   /// |d(l,u) - d(l,v)| (triangle inequality on the undirected metric).
@@ -135,6 +149,12 @@ class RoadGraph {
   RoadGraph() = default;
 
   void BuildLandmarks(int requested);
+  /// Points the workspace at `source` on this graph: a no-op when it
+  /// already holds a (partial) solve from there, else a sparse reset.
+  void Seed(std::int32_t source, Workspace* ws) const;
+  /// Pops and relaxes nodes until `target` is settled or the heap is empty
+  /// (target -1: until empty).
+  void SettleUntil(std::int32_t target, Workspace* ws) const;
 
   std::uint64_t id_ = 0;
   std::vector<Point> nodes_;
@@ -161,7 +181,8 @@ class RoadGraph {
 /// weight >= length invariant, satisfying the Metric contract. The Dijkstra
 /// workspace lives in thread-local storage keyed by graph id, so concurrent
 /// gathers (svc GatherSlot fan-out) are safe and a worker's many Acc
-/// evaluations amortise to one Dijkstra per thread.
+/// evaluations share one resumable Dijkstra per thread, settled only as far
+/// as the farthest task asked about.
 class RoadMetric final : public Metric {
  public:
   explicit RoadMetric(std::shared_ptr<const RoadGraph> graph)

@@ -358,10 +358,11 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
       }
       // FromStops recomputes leg costs and reach times from the metric, so
       // the restored route emits the exact moves the live one would have.
-      pipeline->routes_.emplace(
-          static_cast<model::WorkerIndex>(w),
-          model::WorkerRoute::FromStops(metric, origin, start_time, stops,
-                                        static_cast<std::size_t>(visited)));
+      const auto worker = static_cast<model::WorkerIndex>(w);
+      model::WorkerRoute route = model::WorkerRoute::FromStops(
+          metric, origin, start_time, stops, static_cast<std::size_t>(visited));
+      pipeline->QueueRoute(worker, route);
+      pipeline->routes_.emplace(worker, std::move(route));
     }
   }
   if (config.deadline_policy == DeadlinePolicy::kAdaptive) {
@@ -629,14 +630,36 @@ void StreamPipeline::RecordCommits(
 }
 
 void StreamPipeline::AdvanceRoutes(double now) {
-  for (auto& [w, route] : routes_) {
-    if (route.done()) continue;
+  due_scratch_.clear();
+  while (!route_due_.empty() && route_due_.top().first <= now) {
+    const auto [time, w] = route_due_.top();
+    route_due_.pop();
+    const model::WorkerRoute& route = routes_.find(w)->second;
+    if (!route.done() && route.stops()[route.visited()].reach_time == time) {
+      due_scratch_.push_back(w);
+    }
+  }
+  // Ascending local-worker order, each route once: the order the walk
+  // over routes_ would emit in, restricted to the routes that emit.
+  std::sort(due_scratch_.begin(), due_scratch_.end());
+  due_scratch_.erase(std::unique(due_scratch_.begin(), due_scratch_.end()),
+                     due_scratch_.end());
+  for (const model::WorkerIndex w : due_scratch_) {
+    model::WorkerRoute& route = routes_.find(w)->second;
     const model::WorkerIndex global =
         worker_global_[static_cast<std::size_t>(w) - 1];
     route.AdvanceTo(now, [&](const model::WorkerRoute::Stop& stop) {
       pending_moves_.push_back(
           WorkerMove{stop.reach_time, global, stop.location, stop.task});
     });
+    QueueRoute(w, route);
+  }
+}
+
+void StreamPipeline::QueueRoute(model::WorkerIndex w,
+                                const model::WorkerRoute& route) {
+  if (!route.done()) {
+    route_due_.emplace(route.stops()[route.visited()].reach_time, w);
   }
 }
 
@@ -655,6 +678,7 @@ void StreamPipeline::RouteAssignment(model::WorkerIndex w, model::TaskId t,
   // task's location as of commit time.
   it->second.Insert(metric, task_global_[static_cast<std::size_t>(t)],
                     instance_.tasks[static_cast<std::size_t>(t)].location);
+  QueueRoute(w, it->second);
 }
 
 double StreamPipeline::route_travel_time() const {

@@ -27,11 +27,14 @@
 #define LTC_SVC_STREAM_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/scheduler.h"
@@ -391,11 +394,15 @@ class StreamPipeline {
   void CloseCompleted(const std::vector<model::TaskId>& assigned,
                       double flush_time);
 
-  /// route_workers mode: advances every route to `now`, emitting a
-  /// WorkerMove per newly reached stop into pending_moves_ (ascending
-  /// local-worker order; the engine's final (time, worker) sort fixes the
-  /// global order).
+  /// route_workers mode: advances every route with a stop due at or
+  /// before `now`, emitting a WorkerMove per newly reached stop into
+  /// pending_moves_ (ascending local-worker order; the engine's final
+  /// (time, worker) sort fixes the global order). Visits only the routes
+  /// route_due_ names, not every route.
   void AdvanceRoutes(double now);
+  /// Queues local worker `w`'s route under its next stop's reach time
+  /// (no-op when the route is done).
+  void QueueRoute(model::WorkerIndex w, const model::WorkerRoute& route);
   /// route_workers mode: grows (or creates, anchored at the worker's
   /// check-in location and `time`) local worker `w`'s route by cheapest
   /// insertion of local task `t`. Cost is measured from the route's
@@ -441,6 +448,14 @@ class StreamPipeline {
   // Route state (route_workers only; empty otherwise). Ordered by local
   // worker index so advancement and serialization are deterministic.
   std::map<model::WorkerIndex, model::WorkerRoute> routes_;
+  // Min-queue of (next stop reach time, local worker): every unfinished
+  // route has an entry at its current next reach time, and an insertion
+  // that re-times a route leaves its old entry behind as stale (dropped
+  // when popped). Derived state: not serialized, rebuilt by Restore.
+  using RouteDue = std::pair<double, model::WorkerIndex>;
+  std::priority_queue<RouteDue, std::vector<RouteDue>, std::greater<>>
+      route_due_;
+  std::vector<model::WorkerIndex> due_scratch_;
   std::vector<WorkerMove> pending_moves_;
   std::vector<double> assignment_latency_samples_;
   std::vector<double> completion_latency_samples_;

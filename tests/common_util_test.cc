@@ -167,6 +167,40 @@ TEST(FlagsTest, PositionalArguments) {
   EXPECT_FALSE(ParseCommandLine(2, const_cast<char**>(argv2)).ok());
 }
 
+// Two registrations of one name, as when a binary links a library main
+// that registers --tasks next to its own --tasks.
+Flag<std::int64_t> FLAG_shared_first("test_shared", 1, "first registration");
+Flag<std::int64_t> FLAG_shared_second("test_shared", 2, "second registration");
+Flag<bool> FLAG_shared_bool_first("test_shared_bool", false, "first bool");
+Flag<bool> FLAG_shared_bool_second("test_shared_bool", true, "second bool");
+
+TEST(FlagsTest, EveryRegistrationOfANameReceivesTheValue) {
+  const char* argv[] = {"prog", "--test_shared=9", "--no-test_shared_bool"};
+  ASSERT_TRUE(ParseCommandLine(3, const_cast<char**>(argv)).ok());
+  EXPECT_EQ(FLAG_shared_first.Get(), 9);
+  EXPECT_EQ(FLAG_shared_second.Get(), 9);
+  EXPECT_FALSE(FLAG_shared_bool_first.Get());
+  EXPECT_FALSE(FLAG_shared_bool_second.Get());
+
+  const char* argv2[] = {"prog", "--test_shared", "4", "--test_shared_bool"};
+  ASSERT_TRUE(ParseCommandLine(4, const_cast<char**>(argv2)).ok());
+  EXPECT_EQ(FLAG_shared_first.Get(), 4);
+  EXPECT_EQ(FLAG_shared_second.Get(), 4);
+  EXPECT_TRUE(FLAG_shared_bool_first.Get());
+  EXPECT_TRUE(FLAG_shared_bool_second.Get());
+
+  // A bad value is rejected, whichever registration parses first.
+  const char* argv3[] = {"prog", "--test_shared=x"};
+  EXPECT_TRUE(
+      ParseCommandLine(2, const_cast<char**>(argv3)).IsInvalidArgument());
+
+  // Usage lists the shared name once.
+  const std::string usage = FlagUsage();
+  const auto first = usage.find("--test_shared ");
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(usage.find("--test_shared ", first + 1), std::string::npos);
+}
+
 TEST(FlagsTest, UsageListsFlags) {
   const std::string usage = FlagUsage();
   EXPECT_NE(usage.find("test_int"), std::string::npos);

@@ -1,5 +1,6 @@
 // Road-network tests: Dijkstra cross-checked against brute-force
-// Bellman-Ford on random graphs, snap determinism, ALT lower-bound
+// Bellman-Ford on random graphs, the resumable workspace cross-checked
+// bit for bit against fresh full solves, snap determinism, ALT lower-bound
 // admissibility, the "ltc-road v1" round-trip, the Metric-contract
 // validation in Build, and the gen/road street-grid synthesizer.
 
@@ -100,6 +101,78 @@ TEST(RoadGraphTest, DijkstraMatchesBellmanFordOnRandomGraphs) {
         }
       }
     }
+  }
+}
+
+/// Full single-source solutions from a fresh workspace per source: the
+/// reference the resumable workspace must match bit for bit.
+std::vector<std::vector<double>> FullSolves(const RoadGraph& graph) {
+  std::vector<std::vector<double>> all;
+  for (std::int32_t s = 0; s < graph.num_nodes(); ++s) {
+    RoadGraph::Workspace fresh;
+    graph.ShortestPaths(s, &fresh);
+    all.push_back(fresh.dist);
+  }
+  return all;
+}
+
+TEST(RoadGraphTest, ResumableWorkspaceMatchesFullSolvesBitForBit) {
+  Rng rng(23);
+  for (int trial = 0; trial < 30; ++trial) {
+    // Two graphs share one workspace. Sparse edge counts leave many
+    // graphs disconnected, and the last node of each is always isolated,
+    // so every case has an unreachable pair.
+    std::vector<RoadGraph> graphs;
+    for (int k = 0; k < 2; ++k) {
+      const auto num_nodes =
+          static_cast<std::int32_t>(rng.UniformInt(3, 50));
+      const auto num_edges =
+          static_cast<std::int32_t>(rng.UniformInt(1, 3 * num_nodes));
+      RandomGraph g = MakeRandomGraph(&rng, num_nodes - 1, num_edges);
+      g.nodes.push_back({rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)});
+      auto built = RoadGraph::Build(g.nodes, g.edges);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      graphs.push_back(std::move(built).value());
+    }
+    const std::vector<std::vector<double>> want[2] = {FullSolves(graphs[0]),
+                                                      FullSolves(graphs[1])};
+
+    RoadGraph::Workspace ws;
+    auto check = [&](int k, std::int32_t u, std::int32_t v) {
+      const std::vector<double>& full = want[k][static_cast<std::size_t>(u)];
+      EXPECT_EQ(graphs[static_cast<std::size_t>(k)].NodeDistance(u, v, &ws),
+                full[static_cast<std::size_t>(v)])
+          << "trial=" << trial << " graph=" << k << " u=" << u << " v=" << v;
+    };
+    for (int k = 0; k < 2; ++k) {
+      const RoadGraph& graph = graphs[static_cast<std::size_t>(k)];
+      const std::int32_t last = graph.num_nodes() - 1;
+      // Target == source settles only the source; the same source then
+      // resumes after that partial settle, reaches the isolated node's
+      // kUnreachable by exhausting its component, and answers again.
+      check(k, 0, 0);
+      check(k, 0, last);
+      EXPECT_EQ(graph.NodeDistance(0, last, &ws), RoadGraph::kUnreachable);
+      check(k, 0, graph.num_nodes() / 2);
+      check(k, last, last);
+      check(k, last, 0);
+    }
+    // Random interleaved queries: sources from a small pool, so the same
+    // source often comes back after a partial settle, mixed with switches
+    // of source and of graph.
+    for (int q = 0; q < 300; ++q) {
+      const auto k = static_cast<int>(rng.UniformInt(0, 1));
+      const RoadGraph& graph = graphs[static_cast<std::size_t>(k)];
+      const std::int32_t n = graph.num_nodes();
+      const auto u = static_cast<std::int32_t>(
+          rng.UniformInt(0, std::min<std::int32_t>(3, n - 1)));
+      const auto v = static_cast<std::int32_t>(rng.UniformInt(0, n - 1));
+      check(k, u, v);
+    }
+    // A full solve resumed from a partial one matches the fresh solve.
+    graphs[0].NodeDistance(1, 1, &ws);
+    graphs[0].ShortestPaths(1, &ws);
+    EXPECT_EQ(ws.dist, want[0][1]);
   }
 }
 

@@ -8,7 +8,8 @@
 //     equals never-snapshotting) for every online scheduler × shard count;
 //   * randomized crash points (destroying the service without Finish, the
 //     crash model of io/wal.h) across schedulers × shards, recovered runs
-//     compared byte-for-byte against golden uninterrupted runs;
+//     compared byte-for-byte against golden uninterrupted runs, including
+//     road-metric route workers and their move lines;
 //   * explicit damage: torn WAL tails, corrupt and truncated snapshots, a
 //     snapshot claiming more events than the WAL holds, and injected
 //     wal/ingest faults (common/fault_points.h).
@@ -21,10 +22,13 @@
 #include <vector>
 
 #include "common/fault_points.h"
+#include "gen/road.h"
 #include "gen/stream.h"
+#include "geo/road_graph.h"
 #include "io/event_log.h"
 #include "io/wal.h"
 #include "io/workload_io.h"
+#include "model/accuracy.h"
 #include "svc/recoverable.h"
 #include "svc/serve_main.h"
 #include "svc/sharded_engine.h"
@@ -263,6 +267,95 @@ TEST(CrashRecoveryTest, AdaptiveDeadlineRecoversByteIdentical) {
       const std::string recovered_log = RenderAssignmentLog(
           options, service.value()->assignments(), metrics.value());
       EXPECT_EQ(recovered_log, golden) << tag << " crash@" << crash_at;
+    }
+  }
+}
+
+// Route workers on a road metric: the snapshot carries each route's stops
+// and progress, Restore rebuilds the routes and their due-time queue, and
+// the WAL suffix replays on top. The recovered log, worker-move ('m')
+// lines included, must be byte-identical to the uninterrupted run.
+TEST(CrashRecoveryTest, RoutedWorkersOnRoadMetricRecoverByteIdentical) {
+  // A 20x20 street grid over a 200-side world: blocks of ~10 units, well
+  // inside dmax = 30, so workers reach tasks and drive to them.
+  gen::RoadConfig road;
+  road.rows = 20;
+  road.cols = 20;
+  road.world_side = 200.0;
+  road.seed = 5;
+  auto graph = gen::GenerateGridRoadGraph(road);
+  graph.status().CheckOK();
+  const std::shared_ptr<const geo::Metric> metric =
+      std::make_shared<geo::RoadMetric>(
+          std::make_shared<geo::RoadGraph>(std::move(graph).value()));
+
+  gen::StreamConfig cfg;
+  cfg.num_tasks = 60;
+  cfg.num_workers = 1500;
+  cfg.task_rate = 2.0;  // a long stream: stops fall due inside it
+  cfg.worker_rate = 50.0;
+  cfg.grid_side = 200.0;
+  cfg.seed = 31;
+  auto generated = gen::GenerateStreamEvents(cfg);
+  generated.status().CheckOK();
+  io::EventLog log = std::move(generated).value();
+  auto rebound = model::RebindMetric(*log.accuracy, metric);
+  rebound.status().CheckOK();
+  log.accuracy = std::move(rebound).value();
+  const std::int64_t n = log.num_events();
+
+  auto render = [](const StreamOptions& options, RecoverableService* service) {
+    auto metrics = service->Finish();
+    metrics.status().CheckOK();
+    return RenderAssignmentLog(options, service->assignments(),
+                               metrics.value(),
+                               &service->engine().worker_moves(), "road");
+  };
+
+  for (const int shards : {1, 4}) {
+    StreamOptions options = BaseOptions("LAF", shards);
+    options.world = geo::Rect{0.0, 0.0, 200.0, 200.0};
+    options.route_workers = true;
+    const std::string tag = "routed_s" + std::to_string(shards);
+    std::string golden;
+    {
+      auto sopts = ServiceOptions(FreshDir("golden_" + tag), options, 0, 64);
+      sopts.metric = metric;
+      auto service = RecoverableService::Open(log, sopts);
+      service.status().CheckOK();
+      for (const io::Event& e : log.events) {
+        service.value()->Ingest(e).CheckOK();
+      }
+      golden = render(options, service.value().get());
+    }
+    ASSERT_NE(golden.find("\nm "), std::string::npos) << tag << ": no moves";
+
+    for (const std::int64_t crash_at : {n / 4, n / 2, (3 * n) / 4, n - 1}) {
+      const std::string dir =
+          FreshDir("crash_" + tag + "_" + std::to_string(crash_at));
+      auto sopts = ServiceOptions(dir, options, 97, 16);
+      sopts.metric = metric;
+      {
+        auto service = RecoverableService::Open(log, sopts);
+        service.status().CheckOK();
+        for (std::int64_t i = 0; i < crash_at; ++i) {
+          service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
+              .CheckOK();
+        }
+        // Crash: destructor drops the unflushed group-commit window.
+      }
+      auto service = RecoverableService::Open(log, sopts);
+      ASSERT_TRUE(service.ok()) << tag << " crash@" << crash_at << ": "
+                                << service.status().ToString();
+      EXPECT_TRUE(service.value()->recovery().recovered);
+      EXPECT_GT(service.value()->recovery().snapshot_events, 0)
+          << tag << " crash@" << crash_at;
+      for (std::int64_t i = service.value()->events_applied(); i < n; ++i) {
+        service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
+            .CheckOK();
+      }
+      EXPECT_EQ(render(options, service.value().get()), golden)
+          << tag << " crash@" << crash_at;
     }
   }
 }
