@@ -1,5 +1,5 @@
 // google-benchmark micro suite for the performance-critical substrates:
-// the min-cost-flow solver, the spatial indexes, eligibility queries, and a
+// the min-cost-flow solver, the grid index, eligibility queries, and a
 // single online-arrival step of LAF/AAM.
 //
 // Run:  ./build/bench/bench_micro [--benchmark_filter=...]
@@ -17,7 +17,6 @@
 #include "flow/min_cost_flow.h"
 #include "gen/synthetic.h"
 #include "geo/grid_index.h"
-#include "geo/kdtree.h"
 #include "model/eligibility.h"
 
 namespace {
@@ -114,18 +113,6 @@ void BM_GridIndexQueryRadius(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridIndexQueryRadius)->Arg(10000)->Arg(100000);
-
-void BM_KdTreeQueryRadius(benchmark::State& state) {
-  const auto points = RandomPoints(static_cast<int>(state.range(0)), 7);
-  ltc::geo::KdTree tree(points);
-  Rng rng(13);
-  std::vector<std::int64_t> out;
-  for (auto _ : state) {
-    tree.QueryRadius({rng.Uniform(0, 1000), rng.Uniform(0, 1000)}, 30.0, &out);
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-BENCHMARK(BM_KdTreeQueryRadius)->Arg(10000)->Arg(100000);
 
 struct OnlineFixture {
   ltc::model::ProblemInstance instance;

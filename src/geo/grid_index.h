@@ -10,14 +10,14 @@
 //   cache-friendly form every batch experiment uses.
 // * Dynamic mode (BuildDynamic): per-cell sorted buckets over a fixed grid
 //   geometry, supporting Insert/Remove/Relocate so a long-running service
-//   (svc::StreamEngine) can maintain the open-task set incrementally instead
-//   of rebuilding per batch. Invariants: ids are caller-assigned and unique;
-//   bucket contents stay ascending by id, so query results match an index
-//   rebuilt from scratch over the same live set (DESIGN.md §8, asserted by
-//   tests/geo_dynamic_test.cc). Points outside the construction bounds are
-//   accepted: they clamp into the boundary cells, and the query window
-//   clamps the same way, so correctness is unaffected — only boundary-cell
-//   occupancy grows.
+//   (svc::StreamPipeline) can maintain the open-task set incrementally
+//   instead of rebuilding per batch. Invariants: ids are caller-assigned
+//   and unique; bucket contents stay ascending by id, so query results
+//   match an index rebuilt from scratch over the same live set (DESIGN.md
+//   §8, asserted by tests/geo_dynamic_test.cc). Points outside the
+//   construction bounds are accepted: they clamp into the boundary cells,
+//   and the query window clamps the same way, so correctness is unaffected
+//   — only boundary-cell occupancy grows.
 
 #ifndef LTC_GEO_GRID_INDEX_H_
 #define LTC_GEO_GRID_INDEX_H_

@@ -69,8 +69,8 @@ std::string RenderAssignmentLog(
     const std::vector<WorkerMove>* moves = nullptr,
     const std::string& metric_label = "");
 
-/// Replays `log` through a StreamEngine under `options` and renders the
-/// assignment log.
+/// Replays `log` in memory (ReplayEventLog: a ShardedStreamEngine over the
+/// log's widened world) under `options` and renders the assignment log.
 StatusOr<ServeReport> RunService(const io::EventLog& log,
                                  const StreamOptions& options);
 

@@ -6,6 +6,7 @@
 
 #include "common/container_util.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "geo/metric.h"
 #include "geo/point.h"
 #include "model/eligibility.h"
@@ -25,27 +26,6 @@ bool DueOrder(const double a_time, const int a_shard, const double b_time,
               const int b_shard) {
   if (a_time != b_time) return a_time < b_time;
   return a_shard < b_shard;
-}
-
-/// Per-shard pipeline configuration (shared by Create and Restore — the
-/// restart determinism contract needs identically configured pipelines).
-StreamPipeline::Config ShardConfig(const StreamOptions& options, int shard,
-                                   std::optional<double> cell) {
-  StreamPipeline::Config config;
-  config.algorithm = options.algorithm;
-  config.batch_deadline = options.batch_deadline;
-  config.deadline_policy = options.deadline_policy;
-  config.forecast_horizon = options.forecast_horizon;
-  config.max_batch = options.max_batch;
-  config.seed = options.seed;
-  config.shard_id = shard;
-  config.num_shards = options.shards;
-  config.mcf_warm_start = options.mcf_warm_start;
-  config.mcf_drift_check_every = options.mcf_drift_check_every;
-  config.route_workers = options.route_workers;
-  config.world = options.world;
-  config.cell_size = cell;
-  return config;
 }
 
 }  // namespace
@@ -76,7 +56,10 @@ Status ShardedStreamEngine::InitCommon(const io::EventLog& header,
       options.shards);
   LTC_ASSIGN_OR_RETURN(
       map_, geo::ShardMap::Build(options.world, map_cell, options.shards));
-  route_flags_.assign(static_cast<std::size_t>(options.shards), 0);
+  // One shard's route set is always {0}; HandleWorkerArrival skips the
+  // routing that would only rediscover it.
+  route_flags_.assign(static_cast<std::size_t>(options.shards),
+                      options.shards == 1 ? 1 : 0);
 
   int threads = options.threads;
   if (threads == 0) threads = ThreadPool::DefaultThreads();
@@ -98,7 +81,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Create(
   for (int s = 0; s < options.shards; ++s) {
     LTC_ASSIGN_OR_RETURN(
         auto pipeline,
-        StreamPipeline::Create(header, ShardConfig(options, s, cell)));
+        StreamPipeline::Create(header, StreamPipeline::Config{options, s,
+                                                              cell}));
     engine->pipelines_.push_back(std::move(pipeline));
   }
   return engine;
@@ -206,10 +190,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
       snap::FieldI64(f, 5, &engine->metrics_.boundary_workers));
   LTC_RETURN_IF_ERROR(snap::FieldI64(f, 6, &engine->metrics_.handoff_skips));
 
-  LTC_RETURN_IF_ERROR(reader.Read("tasks", 2, &f));
   std::int64_t nt = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nt));
-  if (nt < 0) return Status::InvalidArgument("snapshot: negative task count");
+  LTC_RETURN_IF_ERROR(reader.ReadCount("tasks", &nt));
   engine->task_route_.reserve(static_cast<std::size_t>(nt));
   engine->task_open_.reserve(static_cast<std::size_t>(nt));
   for (std::int64_t t = 0; t < nt; ++t) {
@@ -228,9 +210,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
     engine->task_open_.push_back(open != 0 ? 1 : 0);
   }
 
-  LTC_RETURN_IF_ERROR(reader.Read("displaced", 2, &f));
   std::int64_t nd = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nd));
+  LTC_RETURN_IF_ERROR(reader.ReadCount("displaced", &nd));
   for (std::int64_t i = 0; i < nd; ++i) {
     LTC_RETURN_IF_ERROR(reader.Read("d", 5, &f));
     std::int64_t task = 0;
@@ -247,9 +228,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
     engine->displaced_[static_cast<model::TaskId>(task)] = d;
   }
 
-  LTC_RETURN_IF_ERROR(reader.Read("claims", 2, &f));
   std::int64_t nc = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nc));
+  LTC_RETURN_IF_ERROR(reader.ReadCount("claims", &nc));
   for (std::int64_t i = 0; i < nc; ++i) {
     LTC_RETURN_IF_ERROR(reader.Read("c", 4, &f));
     std::int64_t worker = 0;
@@ -267,9 +247,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
         Claim{static_cast<int>(shard), static_cast<int>(remaining)});
   }
 
-  LTC_RETURN_IF_ERROR(reader.Read("log", 2, &f));
   std::int64_t na = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &na));
+  LTC_RETURN_IF_ERROR(reader.ReadCount("log", &na));
   engine->assignments_.reserve(static_cast<std::size_t>(na));
   for (std::int64_t i = 0; i < na; ++i) {
     LTC_RETURN_IF_ERROR(reader.Read("A", 4, &f));
@@ -289,9 +268,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
       static_cast<std::int64_t>(engine->assignments_.size());
 
   if (options.route_workers) {
-    LTC_RETURN_IF_ERROR(reader.Read("moves", 2, &f));
     std::int64_t nm = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nm));
+    LTC_RETURN_IF_ERROR(reader.ReadCount("moves", &nm));
     engine->moves_.reserve(static_cast<std::size_t>(nm));
     for (std::int64_t i = 0; i < nm; ++i) {
       LTC_RETURN_IF_ERROR(reader.Read("M", 6, &f));
@@ -319,8 +297,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
     }
     LTC_ASSIGN_OR_RETURN(
         auto pipeline,
-        StreamPipeline::Restore(header, ShardConfig(options, s, cell),
-                                &reader));
+        StreamPipeline::Restore(
+            header, StreamPipeline::Config{options, s, cell}, &reader));
     engine->pipelines_.push_back(std::move(pipeline));
   }
   if (!reader.AtEnd()) {
@@ -370,45 +348,10 @@ Status ShardedStreamEngine::HandleWorkerArrival(const io::Event& event) {
   ++metrics_.worker_events;
   const auto global_index =
       static_cast<model::WorkerIndex>(metrics_.worker_events);
+  if (num_shards() > 1) RouteWorker(event.location, event.accuracy);
 
-  // Route set: every stripe the eligibility disk intersects, plus the
-  // owner shard of any displaced open task within reach. No distance
-  // structure means no disk — the worker is offered everywhere.
-  std::fill(route_flags_.begin(), route_flags_.end(), 0);
-  model::Worker probe;
-  probe.location = event.location;
-  probe.historical_accuracy = event.accuracy;
-  const auto radius = accuracy_->EligibleRadius(probe, acc_min_);
-  if (!radius.has_value()) {
-    std::fill(route_flags_.begin(), route_flags_.end(), 1);
-  } else {
-    const double r = std::max(0.0, *radius);
-    int lo = 0;
-    int hi = 0;
-    map_.ShardRange(event.location, r, &lo, &hi);
-    for (int s = lo; s <= hi; ++s) {
-      route_flags_[static_cast<std::size_t>(s)] = 1;
-    }
-    const geo::Metric& metric = *accuracy_->DistanceMetric();
-    const double r2 = r * r;
-    for (const auto& [task, displaced] : displaced_) {
-      if (!task_open_[static_cast<std::size_t>(task)]) continue;
-      if (route_flags_[static_cast<std::size_t>(displaced.owner)]) continue;
-      // The radius is in metric units; reachability of a displaced task is
-      // a metric-ball test (the Euclidean fast path avoids the sqrt and
-      // any virtual hop on the default backend).
-      const bool in_reach =
-          metric.euclidean()
-              ? geo::SquaredDistance(displaced.location, event.location) <= r2
-              : metric.Distance(event.location, displaced.location) <= r;
-      if (in_reach) {
-        route_flags_[static_cast<std::size_t>(displaced.owner)] = 1;
-      }
-    }
-  }
-
+  due_.clear();
   int route_count = 0;
-  std::vector<DueFlush> due;
   for (int s = 0; s < num_shards(); ++s) {
     if (!route_flags_[static_cast<std::size_t>(s)]) continue;
     ++route_count;
@@ -416,14 +359,53 @@ Status ShardedStreamEngine::HandleWorkerArrival(const io::Event& event) {
     LTC_RETURN_IF_ERROR(pipelines_[static_cast<std::size_t>(s)]->BufferWorker(
         global_index, event.location, event.accuracy, event.time,
         &flush_now));
-    if (flush_now) due.push_back(DueFlush{event.time, s});
+    if (flush_now) due_.push_back(DueFlush{event.time, s});
   }
   if (route_count > 1) {
     claims_.emplace(global_index, Claim{-1, route_count});
     ++metrics_.boundary_workers;
   }
-  if (!due.empty()) return RunRound(std::move(due));
-  return Status::OK();
+  if (due_.empty()) return Status::OK();
+  return RunRound();
+}
+
+void ShardedStreamEngine::RouteWorker(const geo::Point& location,
+                                      double accuracy) {
+  // Route set: every stripe the eligibility disk intersects, plus the
+  // owner shard of any displaced open task within reach. No distance
+  // structure means no disk — the worker is offered everywhere.
+  std::fill(route_flags_.begin(), route_flags_.end(), 0);
+  model::Worker probe;
+  probe.location = location;
+  probe.historical_accuracy = accuracy;
+  const auto radius = accuracy_->EligibleRadius(probe, acc_min_);
+  if (!radius.has_value()) {
+    std::fill(route_flags_.begin(), route_flags_.end(), 1);
+    return;
+  }
+  const double r = std::max(0.0, *radius);
+  int lo = 0;
+  int hi = 0;
+  map_.ShardRange(location, r, &lo, &hi);
+  for (int s = lo; s <= hi; ++s) {
+    route_flags_[static_cast<std::size_t>(s)] = 1;
+  }
+  const geo::Metric& metric = *accuracy_->DistanceMetric();
+  const double r2 = r * r;
+  for (const auto& [task, displaced] : displaced_) {
+    if (!task_open_[static_cast<std::size_t>(task)]) continue;
+    if (route_flags_[static_cast<std::size_t>(displaced.owner)]) continue;
+    // The radius is in metric units; reachability of a displaced task is
+    // a metric-ball test (the Euclidean fast path avoids the sqrt and any
+    // virtual hop on the default backend).
+    const bool in_reach =
+        metric.euclidean()
+            ? geo::SquaredDistance(displaced.location, location) <= r2
+            : metric.Distance(location, displaced.location) <= r;
+    if (in_reach) {
+      route_flags_[static_cast<std::size_t>(displaced.owner)] = 1;
+    }
+  }
 }
 
 Status ShardedStreamEngine::HandleTaskMove(const io::Event& event) {
@@ -450,51 +432,57 @@ Status ShardedStreamEngine::HandleTaskMove(const io::Event& event) {
 }
 
 Status ShardedStreamEngine::FlushExpired(double now) {
-  std::vector<DueFlush> due;
+  due_.clear();
   for (int s = 0; s < num_shards(); ++s) {
     const StreamPipeline& p = *pipelines_[static_cast<std::size_t>(s)];
     if (!p.has_open_batch()) continue;
     // Commit at the instant the batch fell due, not at whichever event
-    // happened to arrive next (same rule as the single-pipeline engine).
-    // The pipeline owns its flush instant — fixed deadline or the
-    // forecast-positioned adaptive one.
+    // happened to arrive next. The pipeline owns its flush instant — fixed
+    // deadline or the forecast-positioned adaptive one.
     const double flush_time = p.batch_flush_time();
-    if (now >= flush_time) due.push_back(DueFlush{flush_time, s});
+    if (now >= flush_time) due_.push_back(DueFlush{flush_time, s});
   }
-  if (due.empty()) return Status::OK();
-  return RunRound(std::move(due));
+  if (due_.empty()) return Status::OK();
+  return RunRound();
 }
 
-Status ShardedStreamEngine::RunRound(std::vector<DueFlush> due) {
-  if (due.empty()) return Status::OK();
-  std::sort(due.begin(), due.end(), [](const DueFlush& a, const DueFlush& b) {
-    return DueOrder(a.time, a.shard, b.time, b.shard);
-  });
+Status ShardedStreamEngine::RunRound() {
+  if (due_.empty()) return Status::OK();
+  std::sort(due_.begin(), due_.end(),
+            [](const DueFlush& a, const DueFlush& b) {
+              return DueOrder(a.time, a.shard, b.time, b.shard);
+            });
 
   // Phase 1 — gather, all due shards at once: commits of one shard never
   // touch another shard's open tasks and no event separates the due flush
   // instants, so every slot reads exactly its flush-time state. Workers
   // already claimed by another shard in an earlier round skip the query.
   std::size_t total_slots = 0;
-  for (const DueFlush& f : due) {
+  for (const DueFlush& f : due_) {
     StreamPipeline& p = *pipelines_[static_cast<std::size_t>(f.shard)];
     p.PrepareGather();
     total_slots += p.batch_size();
   }
-  const auto gather_span = [this](StreamPipeline* p, std::size_t begin,
-                                  std::size_t end) {
+  // Read-only during the gather; empty whenever no boundary worker is in
+  // flight (always, with one shard).
+  const bool any_claims = !claims_.empty();
+  const auto gather_span = [this, any_claims](StreamPipeline* p,
+                                              std::size_t begin,
+                                              std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const auto it = claims_.find(p->batch_global_worker(i));
-      if (it != claims_.end() && it->second.shard != -1) {
-        p->ClearSlot(i);  // lost in an earlier round; resolution counts it
-      } else {
-        p->GatherSlot(i);
+      if (any_claims) {
+        const auto it = claims_.find(p->batch_global_worker(i));
+        if (it != claims_.end() && it->second.shard != -1) {
+          p->ClearSlot(i);  // lost in an earlier round; resolution counts it
+          continue;
+        }
       }
+      p->GatherSlot(i);
     }
   };
   if (pool_ != nullptr && total_slots > 1) {
     std::vector<std::future<void>> futures;
-    for (const DueFlush& f : due) {
+    for (const DueFlush& f : due_) {
       StreamPipeline* p = pipelines_[static_cast<std::size_t>(f.shard)].get();
       const std::size_t n = p->batch_size();
       for (std::size_t begin = 0; begin < n; begin += kGatherChunk) {
@@ -507,7 +495,7 @@ Status ShardedStreamEngine::RunRound(std::vector<DueFlush> due) {
     }
     LTC_RETURN_IF_ERROR(ConsumeFutures(&futures, "gather"));
   } else {
-    for (const DueFlush& f : due) {
+    for (const DueFlush& f : due_) {
       StreamPipeline* p = pipelines_[static_cast<std::size_t>(f.shard)].get();
       gather_span(p, 0, p->batch_size());
     }
@@ -517,9 +505,9 @@ Status ShardedStreamEngine::RunRound(std::vector<DueFlush> due) {
   // offering a non-empty candidate set claims the worker; later offers are
   // dropped before commit. Deterministic: a pure function of the gathered
   // slots and the table state left by earlier rounds.
-  for (const DueFlush& f : due) {
+  for (const DueFlush& f : due_) {
     StreamPipeline& p = *pipelines_[static_cast<std::size_t>(f.shard)];
-    for (std::size_t i = 0; i < p.batch_size(); ++i) {
+    for (std::size_t i = 0; i < p.batch_size() && !claims_.empty(); ++i) {
       const auto it = claims_.find(p.batch_global_worker(i));
       if (it == claims_.end()) continue;  // single-shard worker
       Claim& claim = it->second;
@@ -538,14 +526,14 @@ Status ShardedStreamEngine::RunRound(std::vector<DueFlush> due) {
   // Phase 3 — commit: each due shard's batch in parallel (a pipeline's
   // commit touches only shard-local state; the claim table is read-only
   // now). Statuses land in slot-indexed storage.
-  if (pool_ != nullptr && due.size() > 1) {
-    std::vector<Status> statuses(due.size(), Status::OK());
+  if (pool_ != nullptr && due_.size() > 1) {
+    std::vector<Status> statuses(due_.size(), Status::OK());
     std::vector<std::future<void>> futures;
-    futures.reserve(due.size());
-    for (std::size_t k = 0; k < due.size(); ++k) {
+    futures.reserve(due_.size());
+    for (std::size_t k = 0; k < due_.size(); ++k) {
       StreamPipeline* p =
-          pipelines_[static_cast<std::size_t>(due[k].shard)].get();
-      const double flush_time = due[k].time;
+          pipelines_[static_cast<std::size_t>(due_[k].shard)].get();
+      const double flush_time = due_[k].time;
       Status* status = &statuses[k];
       futures.push_back(pool_->Submit([p, flush_time, status] {
         *status = p->CommitBatch(flush_time);
@@ -556,7 +544,7 @@ Status ShardedStreamEngine::RunRound(std::vector<DueFlush> due) {
       LTC_RETURN_IF_ERROR(status);
     }
   } else {
-    for (const DueFlush& f : due) {
+    for (const DueFlush& f : due_) {
       LTC_RETURN_IF_ERROR(
           pipelines_[static_cast<std::size_t>(f.shard)]->CommitBatch(f.time));
     }
@@ -564,59 +552,50 @@ Status ShardedStreamEngine::RunRound(std::vector<DueFlush> due) {
 
   // Phase 4 — merge, sequential in the same key order: one deterministic
   // global log, closure bookkeeping for the router.
-  for (const DueFlush& f : due) {
-    StreamPipeline& p = *pipelines_[static_cast<std::size_t>(f.shard)];
-    for (const StreamAssignment& a : p.pending_assignments()) {
-      assignments_.push_back(a);
-      max_assigned_worker_ = std::max(max_assigned_worker_, a.worker);
-      ++metrics_.assignments;
-    }
-    p.pending_assignments().clear();
-    for (const model::TaskId task : p.pending_closed()) {
-      task_open_[static_cast<std::size_t>(task)] = 0;
-      displaced_.erase(task);
-    }
-    p.pending_closed().clear();
-    for (const WorkerMove& m : p.pending_moves()) moves_.push_back(m);
-    p.pending_moves().clear();
+  for (const DueFlush& f : due_) {
+    MergePending(pipelines_[static_cast<std::size_t>(f.shard)].get());
   }
   return Status::OK();
+}
+
+void ShardedStreamEngine::MergePending(StreamPipeline* p) {
+  for (const StreamAssignment& a : p->pending_assignments()) {
+    assignments_.push_back(a);
+    max_assigned_worker_ = std::max(max_assigned_worker_, a.worker);
+    ++metrics_.assignments;
+  }
+  p->pending_assignments().clear();
+  for (const model::TaskId task : p->pending_closed()) {
+    task_open_[static_cast<std::size_t>(task)] = 0;
+    displaced_.erase(task);
+  }
+  p->pending_closed().clear();
+  moves_.insert(moves_.end(), p->pending_moves().begin(),
+                p->pending_moves().end());
+  p->pending_moves().clear();
 }
 
 StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
   if (finished_) {
     return Status::FailedPrecondition("Finish called twice");
   }
-  std::vector<DueFlush> due;
+  due_.clear();
   double end_time = last_event_time_;
   for (int s = 0; s < num_shards(); ++s) {
     const StreamPipeline& p = *pipelines_[static_cast<std::size_t>(s)];
     if (!p.has_open_batch()) continue;
     // The service waits out the deadline for the final stragglers.
-    due.push_back(DueFlush{p.batch_flush_time(), s});
-    end_time = std::max(end_time, due.back().time);
+    due_.push_back(DueFlush{p.batch_flush_time(), s});
+    end_time = std::max(end_time, due_.back().time);
   }
-  LTC_RETURN_IF_ERROR(RunRound(std::move(due)));
+  LTC_RETURN_IF_ERROR(RunRound());
 
   // Batch schedulers may still hold a partial Theorem-2 batch per shard;
   // drain them sequentially in shard order — one deterministic tail for the
   // global log, merged exactly like a round's phase 4.
-  for (int s = 0; s < num_shards(); ++s) {
-    StreamPipeline& p = *pipelines_[static_cast<std::size_t>(s)];
-    LTC_RETURN_IF_ERROR(p.CommitStreamEnd(end_time));
-    for (const StreamAssignment& a : p.pending_assignments()) {
-      assignments_.push_back(a);
-      max_assigned_worker_ = std::max(max_assigned_worker_, a.worker);
-      ++metrics_.assignments;
-    }
-    p.pending_assignments().clear();
-    for (const model::TaskId task : p.pending_closed()) {
-      task_open_[static_cast<std::size_t>(task)] = 0;
-      displaced_.erase(task);
-    }
-    p.pending_closed().clear();
-    for (const WorkerMove& m : p.pending_moves()) moves_.push_back(m);
-    p.pending_moves().clear();
+  for (const auto& pipeline : pipelines_) {
+    LTC_RETURN_IF_ERROR(pipeline->CommitStreamEnd(end_time));
+    MergePending(pipeline.get());
   }
   finished_ = true;
 
@@ -660,22 +639,51 @@ StatusOr<StreamMetrics> ShardedStreamEngine::Finish() {
   return metrics_;
 }
 
-double ShardedStreamEngine::total_acc_star() const {
-  double total = 0.0;
+sim::RunMetrics ShardedStreamEngine::RunMetricsView(
+    double runtime_seconds) const {
+  sim::RunMetrics run;
+  run.algorithm = options_.algorithm;
+  run.latency = max_assigned_worker_;
+  run.completed = metrics_.tasks_completed == metrics_.task_events;
+  run.runtime_seconds = runtime_seconds;
+  run.assignment_latency = metrics_.assignment_latency;
+  run.stats.workers_seen = metrics_.worker_events;
+  run.stats.assignments = metrics_.assignments;
   for (const auto& pipeline : pipelines_) {
     for (const model::Assignment& a : pipeline->arrangement().assignments()) {
-      total += a.acc_star;
+      run.stats.total_acc_star += a.acc_star;
     }
+    // The claim table guarantees a worker commits in at most one shard.
+    run.stats.workers_used += pipeline->workers_used();
   }
-  return total;
+  return run;
 }
 
-std::int64_t ShardedStreamEngine::workers_used() const {
-  std::int64_t used = 0;
-  for (const auto& pipeline : pipelines_) {
-    used += pipeline->workers_used();
+StatusOr<ReplayResult> ReplayEventLog(
+    const io::EventLog& log, const StreamOptions& options,
+    std::vector<StreamAssignment>* assignments_out,
+    std::vector<WorkerMove>* moves_out) {
+  LTC_RETURN_IF_ERROR(log.Validate());
+  StreamOptions resolved = options;
+  for (const io::Event& e : log.events) {
+    resolved.world.min_x = std::min(resolved.world.min_x, e.location.x);
+    resolved.world.min_y = std::min(resolved.world.min_y, e.location.y);
+    resolved.world.max_x = std::max(resolved.world.max_x, e.location.x);
+    resolved.world.max_y = std::max(resolved.world.max_y, e.location.y);
   }
-  return used;
+
+  Stopwatch watch;
+  LTC_ASSIGN_OR_RETURN(auto engine,
+                       ShardedStreamEngine::Create(log, resolved));
+  for (const io::Event& e : log.events) {
+    LTC_RETURN_IF_ERROR(engine->OnEvent(e));
+  }
+  ReplayResult result;
+  LTC_ASSIGN_OR_RETURN(result.stream, engine->Finish());
+  result.run = engine->RunMetricsView(watch.ElapsedSeconds());
+  if (assignments_out != nullptr) *assignments_out = engine->assignments();
+  if (moves_out != nullptr) *moves_out = engine->worker_moves();
+  return result;
 }
 
 }  // namespace svc

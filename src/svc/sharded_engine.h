@@ -1,7 +1,10 @@
-// The spatially partitioned streaming service (DESIGN.md §9): K independent
+// The streaming service engine (DESIGN.md §8, §9): K independent
 // StreamPipeline instances over grid-aligned stripes of the world, one
 // event router, and a boundary-handoff protocol that keeps assignment
-// quality at stripe edges on par with the single-pipeline engine.
+// quality at stripe edges on par with one pipeline over the whole world.
+// Every serving mode runs it — in-memory replay (ReplayEventLog), the
+// durable service and the socket server (recoverable.h) — and K = 1 is the
+// unsharded service: one pipeline, no handoff, no claim table.
 //
 // Routing. Task arrivals go to exactly one shard — the stripe owning their
 // location (geo::ShardMap, whose stripe edges are GridIndex cell
@@ -43,15 +46,17 @@
 #include "common/thread_pool.h"
 #include "geo/shard_map.h"
 #include "io/event_log.h"
+#include "sim/metrics.h"
 #include "svc/stream_engine.h"
 
 namespace ltc {
 namespace svc {
 
-/// \brief The K-shard event router and flush coordinator. Same OnEvent /
-/// Finish surface as StreamEngine; Create accepts options.shards >= 1
-/// (shards == 1 degenerates to a single pipeline and reproduces the classic
-/// engine's assignment sequence exactly — pinned by tests/svc_shard_test).
+/// \brief The K-shard event router and flush coordinator. Create accepts
+/// options.shards >= 1; with one shard every worker routes to pipeline 0
+/// and the router's disk query, displaced-task scan and claim table are
+/// skipped (deadline 0 reproduces sim::RunOnline exactly — pinned by
+/// tests/svc_stream_test).
 ///
 /// Engine-thread-only, including the cross-shard claim tables: workers fan
 /// out through the pool only inside phases where the engine thread blocks
@@ -105,11 +110,11 @@ class ShardedStreamEngine {
   model::WorkerIndex max_assigned_worker() const {
     return max_assigned_worker_;
   }
-  /// Sum of Acc* over all shards' assignments.
-  double total_acc_star() const;
-  /// Distinct workers holding at least one assignment (the claim table
-  /// guarantees a worker commits in at most one shard).
-  std::int64_t workers_used() const;
+  /// The sim::RunMetrics view of the finished run (call after Finish):
+  /// latency = max_assigned_worker(), completed = every arrived task
+  /// completed, the per-assignment latency summary, Acc* and worker-use
+  /// totals over all shards, and `runtime_seconds` of wall time.
+  sim::RunMetrics RunMetricsView(double runtime_seconds) const;
 
   int num_shards() const { return static_cast<int>(pipelines_.size()); }
   /// The stream clock: time of the latest applied event (0 before any).
@@ -158,13 +163,22 @@ class ShardedStreamEngine {
   Status HandleWorkerArrival(const io::Event& event);
   Status HandleTaskMove(const io::Event& event);
 
+  /// Sets route_flags_ to the shards a worker arriving at `location` with
+  /// `accuracy` is offered to (K > 1 only; one shard's set is always {0}).
+  void RouteWorker(const geo::Point& location, double accuracy);
+
   /// Collects every shard whose batch deadline expired at or before `now`
   /// and runs them as one round.
   Status FlushExpired(double now);
-  /// One flush round over `due` (must be key-sorted): parallel gather,
-  /// sequential claim resolution, parallel per-shard commit, sequential
-  /// merge.
-  Status RunRound(std::vector<DueFlush> due);
+  /// One flush round over due_ (sorted here into key order; collectors
+  /// clear it before filling): parallel gather, sequential claim
+  /// resolution, parallel per-shard commit, sequential merge. No-op when
+  /// due_ is empty.
+  Status RunRound();
+  /// Folds `p`'s pending records into the merged logs and the router's
+  /// closure bookkeeping, then clears them (rounds and the stream-end
+  /// drain both merge through here, in key order).
+  void MergePending(StreamPipeline* p);
 
   StreamOptions options_;
   geo::ShardMap map_;
@@ -180,6 +194,7 @@ class ShardedStreamEngine {
   std::unordered_map<model::TaskId, Displaced> displaced_;
   std::unordered_map<model::WorkerIndex, Claim> claims_;
   std::vector<char> route_flags_;      // scratch: shard membership per event
+  std::vector<DueFlush> due_;          // scratch: the next round's flushes
 
   std::vector<StreamAssignment> assignments_;
   std::vector<WorkerMove> moves_;
@@ -192,6 +207,23 @@ class ShardedStreamEngine {
   // router state above die); every round also consumes all its futures.
   std::unique_ptr<ThreadPool> pool_;  // fan-out (threads > 1 only)
 };
+
+/// Replays a whole event log through a fresh ShardedStreamEngine: widens
+/// options.world to the union of itself and the bounding box of every
+/// event location (the grid geometry must cover the whole log), feeds
+/// every event, and finishes. When `assignments_out` is non-null it
+/// receives the deterministic assignment record; `moves_out` likewise
+/// receives the worker-move log (empty unless options.route_workers).
+struct ReplayResult {
+  StreamMetrics stream;
+  /// The sim::RunMetrics view (ShardedStreamEngine::RunMetricsView), with
+  /// the runtime of the replay itself.
+  sim::RunMetrics run;
+};
+StatusOr<ReplayResult> ReplayEventLog(
+    const io::EventLog& log, const StreamOptions& options,
+    std::vector<StreamAssignment>* assignments_out = nullptr,
+    std::vector<WorkerMove>* moves_out = nullptr);
 
 }  // namespace svc
 }  // namespace ltc

@@ -43,6 +43,24 @@ Status Reader::Read(const char* key, std::size_t min_fields,
       StrFormat("snapshot: unexpected end of input (wanted '%s')", key));
 }
 
+Status Reader::ReadCount(const char* key, std::int64_t* count) {
+  std::vector<std::string> fields;
+  LTC_RETURN_IF_ERROR(Read(key, 2, &fields));
+  LTC_RETURN_IF_ERROR(FieldI64(fields, 1, count));
+  if (*count < 0) {
+    return Status::InvalidArgument(StrFormat(
+        "snapshot: negative '%s' count %lld", key,
+        static_cast<long long>(*count)));
+  }
+  if (*count > unread_lines()) {
+    return Status::OutOfRange(StrFormat(
+        "snapshot: '%s' count %lld exceeds the %lld unread line(s)", key,
+        static_cast<long long>(*count),
+        static_cast<long long>(unread_lines())));
+  }
+  return Status::OK();
+}
+
 Status Reader::ReadRaw(std::string* line) {
   if (pos_ >= lines_.size()) {
     return Status::InvalidArgument("snapshot: unexpected end of input");

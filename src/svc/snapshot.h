@@ -44,9 +44,20 @@ class Reader {
   Status Read(const char* key, std::size_t min_fields,
               std::vector<std::string>* fields);
 
+  /// Reads a "key N" record whose N counts the lines that follow it (each
+  /// record is one line). Rejects a negative N, and an N larger than the
+  /// unread line count, before any caller sizes a container by it — a
+  /// damaged count can never allocate beyond the snapshot's own size.
+  Status ReadCount(const char* key, std::int64_t* count);
+
   /// Consumes the next line verbatim (embedded sub-blobs, e.g. scheduler
   /// state). Errors at end of input.
   Status ReadRaw(std::string* line);
+
+  /// Lines not yet consumed: an upper bound on the records left.
+  std::int64_t unread_lines() const {
+    return static_cast<std::int64_t>(lines_.size() - pos_);
+  }
 
   bool AtEnd() const;
 

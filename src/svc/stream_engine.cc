@@ -7,9 +7,7 @@
 #include "algo/mcf_stream.h"
 #include "algo/registry.h"
 #include "common/string_util.h"
-#include "common/timer.h"
-#include "model/eligibility.h"
-#include "svc/sharded_engine.h"
+#include "model/arrangement.h"
 
 namespace ltc {
 namespace svc {
@@ -34,42 +32,42 @@ Status ConsumeFutures(std::vector<std::future<void>>* futures,
 
 namespace {
 
-/// Validates a pipeline Config and builds its scheduler (shared by Create
-/// and Restore, which must construct identically configured schedulers for
-/// the restart determinism contract to hold).
+/// Validates the pipeline's options and builds its scheduler (shared by
+/// Create and Restore, which must construct identically configured
+/// schedulers for the restart determinism contract to hold).
 StatusOr<std::unique_ptr<algo::OnlineScheduler>> MakePipelineScheduler(
-    const StreamPipeline::Config& config) {
-  if (!(config.batch_deadline >= 0.0)) {
+    const StreamOptions& options) {
+  if (!(options.batch_deadline >= 0.0)) {
     return Status::InvalidArgument("batch_deadline must be >= 0");
   }
-  if (config.deadline_policy == DeadlinePolicy::kAdaptive) {
-    if (!(config.batch_deadline > 0.0)) {
+  if (options.deadline_policy == DeadlinePolicy::kAdaptive) {
+    if (!(options.batch_deadline > 0.0)) {
       return Status::InvalidArgument(
           "adaptive deadline policy needs a positive cap (batch_deadline)");
     }
-    if (!(config.forecast_horizon > 0.0)) {
+    if (!(options.forecast_horizon > 0.0)) {
       return Status::InvalidArgument("forecast_horizon must be > 0");
     }
   }
-  if (config.max_batch < 0) {
+  if (options.max_batch < 0) {
     return Status::InvalidArgument("max_batch must be >= 0");
   }
-  LTC_ASSIGN_OR_RETURN(bool online, algo::IsOnlineAlgorithm(config.algorithm));
+  LTC_ASSIGN_OR_RETURN(bool online, algo::IsOnlineAlgorithm(options.algorithm));
   if (!online) {
     return Status::InvalidArgument(
-        "streaming admission drives online schedulers; '" + config.algorithm +
+        "streaming admission drives online schedulers; '" + options.algorithm +
         "' is offline");
   }
-  if (config.algorithm == "MCF") {
+  if (options.algorithm == "MCF") {
     // The registry's default-constructed MCF cannot carry the service's
     // warm-start knobs, so the pipeline builds its own.
     algo::McfLtcOptions mcf_options;
-    mcf_options.warm_start = config.mcf_warm_start;
-    mcf_options.drift_check_every = config.mcf_drift_check_every;
+    mcf_options.warm_start = options.mcf_warm_start;
+    mcf_options.drift_check_every = options.mcf_drift_check_every;
     return std::unique_ptr<algo::OnlineScheduler>(
         std::make_unique<algo::McfStream>(mcf_options));
   }
-  return algo::MakeOnlineScheduler(config.algorithm, config.seed);
+  return algo::MakeOnlineScheduler(options.algorithm, options.seed);
 }
 
 }  // namespace
@@ -85,15 +83,16 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Create(
   pipeline->instance_.acc_min = header.acc_min;
   pipeline->instance_.accuracy = header.accuracy;
 
-  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_, MakePipelineScheduler(config));
+  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_,
+                       MakePipelineScheduler(config.options));
   LTC_RETURN_IF_ERROR(pipeline->scheduler_->InitStreamingSharded(
       pipeline->instance_,
       algo::OnlineScheduler::StreamShardContext{config.shard_id,
-                                                config.num_shards}));
+                                                config.options.shards}));
 
   if (config.cell_size.has_value()) {
     LTC_ASSIGN_OR_RETURN(
-        auto grid, geo::GridIndex::BuildDynamic(config.world,
+        auto grid, geo::GridIndex::BuildDynamic(config.options.world,
                                                 *config.cell_size));
     pipeline->grid_.emplace(std::move(grid));
   }
@@ -102,16 +101,16 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Create(
 }
 
 Status StreamPipeline::InitForecast() {
-  if (config_.deadline_policy != DeadlinePolicy::kAdaptive) {
+  if (config_.options.deadline_policy != DeadlinePolicy::kAdaptive) {
     return Status::OK();
   }
   fcst::CellRateEstimator::Config fc;
   // Same cell decomposition as the incremental task index; models without
   // spatial structure fall back to one global rate cell.
   if (config_.cell_size.has_value()) {
-    fc.grid = geo::CellGrid(config_.world, *config_.cell_size);
+    fc.grid = geo::CellGrid(config_.options.world, *config_.cell_size);
   }
-  fc.horizon = config_.forecast_horizon;
+  fc.horizon = config_.options.forecast_horizon;
   LTC_ASSIGN_OR_RETURN(auto estimator, fcst::CellRateEstimator::Create(fc));
   forecast_.emplace(std::move(estimator));
   scheduler_->InstallForecast(&*forecast_);
@@ -171,7 +170,7 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
   out->append(sched);
   // Route state rides along only in route_workers mode, so the default
   // snapshot bytes are exactly the pre-routing format.
-  if (config_.route_workers) {
+  if (config_.options.route_workers) {
     out->append(StrFormat("proutes %lld\n",
                           static_cast<long long>(routes_.size())));
     for (const auto& [w, route] : routes_) {
@@ -192,7 +191,7 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
   // the open batch's flush instant are schedule inputs: a restored service
   // must predict — and therefore flush — exactly as the uninterrupted one
   // would (DESIGN.md §13).
-  if (config_.deadline_policy == DeadlinePolicy::kAdaptive) {
+  if (config_.options.deadline_policy == DeadlinePolicy::kAdaptive) {
     std::string blob;
     LTC_RETURN_IF_ERROR(forecast_->SerializeTo(&blob));
     const auto blob_lines =
@@ -221,10 +220,8 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   std::vector<std::string> f;
 
   // Tasks: local ids are the serialization order.
-  LTC_RETURN_IF_ERROR(reader->Read("ptasks", 2, &f));
   std::int64_t nt = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nt));
-  if (nt < 0) return Status::InvalidArgument("snapshot: negative task count");
+  LTC_RETURN_IF_ERROR(reader->ReadCount("ptasks", &nt));
   pipeline->instance_.tasks.reserve(static_cast<std::size_t>(nt));
   for (std::int64_t t = 0; t < nt; ++t) {
     LTC_RETURN_IF_ERROR(reader->Read("pt", 5, &f));
@@ -242,12 +239,8 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   }
 
   // Workers: local arrival indices are the serialization order + 1.
-  LTC_RETURN_IF_ERROR(reader->Read("pworkers", 2, &f));
   std::int64_t nw = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &nw));
-  if (nw < 0) {
-    return Status::InvalidArgument("snapshot: negative worker count");
-  }
+  LTC_RETURN_IF_ERROR(reader->ReadCount("pworkers", &nw));
   pipeline->instance_.workers.reserve(static_cast<std::size_t>(nw));
   for (std::int64_t i = 0; i < nw; ++i) {
     LTC_RETURN_IF_ERROR(reader->Read("pw", 5, &f));
@@ -286,17 +279,15 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &pipeline->tasks_completed_));
 
   // Latency samples (metrics parity across restarts, not schedule inputs).
-  LTC_RETURN_IF_ERROR(reader->Read("plat_a", 2, &f));
   std::int64_t n_samples = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &n_samples));
+  LTC_RETURN_IF_ERROR(reader->ReadCount("plat_a", &n_samples));
   for (std::int64_t i = 0; i < n_samples; ++i) {
     LTC_RETURN_IF_ERROR(reader->Read("l", 2, &f));
     double v = 0.0;
     LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &v));
     pipeline->assignment_latency_samples_.push_back(v);
   }
-  LTC_RETURN_IF_ERROR(reader->Read("plat_c", 2, &f));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &n_samples));
+  LTC_RETURN_IF_ERROR(reader->ReadCount("plat_c", &n_samples));
   for (std::int64_t i = 0; i < n_samples; ++i) {
     LTC_RETURN_IF_ERROR(reader->Read("l", 2, &f));
     double v = 0.0;
@@ -305,9 +296,8 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   }
 
   // Scheduler blob: restore against the fully re-grown instance.
-  LTC_RETURN_IF_ERROR(reader->Read("sched", 2, &f));
   std::int64_t sched_lines = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &sched_lines));
+  LTC_RETURN_IF_ERROR(reader->ReadCount("sched", &sched_lines));
   std::string blob;
   for (std::int64_t i = 0; i < sched_lines; ++i) {
     std::string line;
@@ -315,19 +305,19 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
     blob += line;
     blob += '\n';
   }
-  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_, MakePipelineScheduler(config));
+  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_,
+                       MakePipelineScheduler(config.options));
   LTC_RETURN_IF_ERROR(pipeline->scheduler_->RestoreState(
       pipeline->instance_,
       algo::OnlineScheduler::StreamShardContext{config.shard_id,
-                                                config.num_shards},
+                                                config.options.shards},
       blob));
 
-  if (config.route_workers) {
+  if (config.options.route_workers) {
     const geo::Metric& metric =
         *pipeline->instance_.accuracy->DistanceMetric();
-    LTC_RETURN_IF_ERROR(reader->Read("proutes", 2, &f));
     std::int64_t n_routes = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &n_routes));
+    LTC_RETURN_IF_ERROR(reader->ReadCount("proutes", &n_routes));
     for (std::int64_t r = 0; r < n_routes; ++r) {
       LTC_RETURN_IF_ERROR(reader->Read("pr", 7, &f));
       std::int64_t w = 0;
@@ -342,7 +332,7 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
       LTC_RETURN_IF_ERROR(snap::FieldI64(f, 5, &visited));
       LTC_RETURN_IF_ERROR(snap::FieldI64(f, 6, &n_stops));
       if (w < 1 || w > nw || visited < 0 || visited > n_stops ||
-          n_stops < 0) {
+          n_stops < 0 || n_stops > reader->unread_lines()) {
         return Status::OutOfRange("snapshot: route record out of range");
       }
       std::vector<std::pair<model::TaskId, geo::Point>> stops;
@@ -365,11 +355,10 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
       pipeline->routes_.emplace(worker, std::move(route));
     }
   }
-  if (config.deadline_policy == DeadlinePolicy::kAdaptive) {
+  if (config.options.deadline_policy == DeadlinePolicy::kAdaptive) {
     LTC_RETURN_IF_ERROR(pipeline->InitForecast());
-    LTC_RETURN_IF_ERROR(reader->Read("pfcst", 2, &f));
     std::int64_t blob_lines = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &blob_lines));
+    LTC_RETURN_IF_ERROR(reader->ReadCount("pfcst", &blob_lines));
     std::string blob;
     for (std::int64_t i = 0; i < blob_lines; ++i) {
       std::string line;
@@ -399,7 +388,7 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
   if (config.cell_size.has_value()) {
     LTC_ASSIGN_OR_RETURN(
         auto grid,
-        geo::GridIndex::BuildDynamic(config.world, *config.cell_size));
+        geo::GridIndex::BuildDynamic(config.options.world, *config.cell_size));
     pipeline->grid_.emplace(std::move(grid));
   }
   pipeline->open_.assign(static_cast<std::size_t>(nt), 0);
@@ -464,10 +453,10 @@ Status StreamPipeline::BufferWorker(model::WorkerIndex global_index,
   if (opened) batch_open_time_ = time;
   batch_.push_back(worker.index);
   const bool hit_max =
-      config_.max_batch > 0 &&
-      static_cast<std::int64_t>(batch_.size()) >= config_.max_batch;
+      config_.options.max_batch > 0 &&
+      static_cast<std::int64_t>(batch_.size()) >= config_.options.max_batch;
 
-  if (config_.deadline_policy == DeadlinePolicy::kAdaptive) {
+  if (config_.options.deadline_policy == DeadlinePolicy::kAdaptive) {
     // Record the arrival first: the prediction for the cell's *next*
     // arrival conditions on everything seen so far, this worker included.
     forecast_->OnWorkerArrival(location, time);
@@ -475,7 +464,7 @@ Status StreamPipeline::BufferWorker(model::WorkerIndex global_index,
       *flush_now = true;
       return Status::OK();
     }
-    const double cap_end = batch_open_time_ + config_.batch_deadline;
+    const double cap_end = batch_open_time_ + config_.options.batch_deadline;
     const double rate = forecast_->WorkerRate(location, time);
     // Expected wait to the next worker arrival in this cell (1/rate); a
     // prediction at or past the cap means holding buys nothing — flush at
@@ -497,7 +486,7 @@ Status StreamPipeline::BufferWorker(model::WorkerIndex global_index,
     return Status::OK();
   }
 
-  *flush_now = hit_max || config_.batch_deadline == 0.0;
+  *flush_now = hit_max || config_.options.batch_deadline == 0.0;
   return Status::OK();
 }
 
@@ -553,7 +542,7 @@ Status StreamPipeline::CommitBatch(double flush_time) {
   max_batch_size_ = std::max(max_batch_size_, static_cast<std::int64_t>(n));
   // Route progress up to this flush instant is emitted before this round's
   // commitments extend any route.
-  if (config_.route_workers) AdvanceRoutes(flush_time);
+  if (config_.options.route_workers) AdvanceRoutes(flush_time);
 
   if (scheduler_->SchedulesWholeBatch()) {
     // Batch protocol: the whole flushed batch in arrival order, one call.
@@ -587,7 +576,9 @@ Status StreamPipeline::CommitBatch(double flush_time) {
           task_global_[static_cast<std::size_t>(t)]});
       assignment_latency_samples_.push_back(
           flush_time - task_arrival_time_[static_cast<std::size_t>(t)]);
-      if (config_.route_workers) RouteAssignment(w.index, t, flush_time);
+      if (config_.options.route_workers) {
+        RouteAssignment(w.index, t, flush_time);
+      }
     }
     CloseCompleted(assigned_scratch_, flush_time);
   }
@@ -598,7 +589,7 @@ Status StreamPipeline::CommitBatch(double flush_time) {
 Status StreamPipeline::CommitStreamEnd(double end_time) {
   // Stream end also closes the move log: whatever route progress lands at
   // or before the end instant is emitted (stops beyond it stay in flight).
-  if (config_.route_workers) AdvanceRoutes(end_time);
+  if (config_.options.route_workers) AdvanceRoutes(end_time);
   if (!scheduler_->SchedulesWholeBatch()) return Status::OK();
   commits_scratch_.clear();
   LTC_RETURN_IF_ERROR(scheduler_->OnStreamEnd(&commits_scratch_));
@@ -607,7 +598,7 @@ Status StreamPipeline::CommitStreamEnd(double end_time) {
   RecordCommits(commits_scratch_, end_time);
   // Commitments made at the end instant can complete zero-length legs
   // (stop at the worker's own location) exactly at end_time.
-  if (config_.route_workers) AdvanceRoutes(end_time);
+  if (config_.options.route_workers) AdvanceRoutes(end_time);
   return Status::OK();
 }
 
@@ -622,7 +613,7 @@ void StreamPipeline::RecordCommits(
     assignment_latency_samples_.push_back(
         time - task_arrival_time_[static_cast<std::size_t>(commit.task)]);
     assigned_scratch_.push_back(commit.task);
-    if (config_.route_workers) {
+    if (config_.options.route_workers) {
       RouteAssignment(commit.worker, commit.task, time);
     }
   }
@@ -725,280 +716,6 @@ std::int64_t StreamPipeline::workers_used() const {
     if (arr.Load(w) > 0) ++used;
   }
   return used;
-}
-
-// --- StreamEngine ---------------------------------------------------------
-
-StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::Create(
-    const io::EventLog& header, const StreamOptions& options) {
-  if (options.threads < 0) {
-    return Status::InvalidArgument("threads must be >= 0");
-  }
-  if (options.shards != 1) {
-    return Status::InvalidArgument(
-        "StreamEngine is the single-pipeline engine; shards > 1 runs go "
-        "through ShardedStreamEngine (or ReplayEventLog, which dispatches)");
-  }
-
-  std::unique_ptr<StreamEngine> engine(new StreamEngine(options));
-  StreamPipeline::Config config;
-  config.algorithm = options.algorithm;
-  config.batch_deadline = options.batch_deadline;
-  config.deadline_policy = options.deadline_policy;
-  config.forecast_horizon = options.forecast_horizon;
-  config.max_batch = options.max_batch;
-  config.seed = options.seed;
-  config.world = options.world;
-  config.mcf_warm_start = options.mcf_warm_start;
-  config.mcf_drift_check_every = options.mcf_drift_check_every;
-  config.route_workers = options.route_workers;
-  // Same grid geometry rule as EligibilityIndex::Build (the shared
-  // model::SpatialPruningCellSize / model::StreamingCellSize helpers —
-  // model/eligibility.h); models without distance structure fall back to
-  // scanning the open set.
-  config.cell_size =
-      model::SpatialPruningCellSize(*header.accuracy, header.acc_min);
-  LTC_ASSIGN_OR_RETURN(engine->pipeline_,
-                       StreamPipeline::Create(header, config));
-
-  int threads = options.threads;
-  if (threads == 0) threads = ThreadPool::DefaultThreads();
-  if (threads > 1) {
-    engine->pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return engine;
-}
-
-Status StreamEngine::OnEvent(const io::Event& event) {
-  if (finished_) {
-    return Status::FailedPrecondition("OnEvent after Finish");
-  }
-  if (event.time < last_event_time_) {
-    return Status::InvalidArgument(
-        StrFormat("event time %g precedes the stream clock %g", event.time,
-                  last_event_time_));
-  }
-  LTC_RETURN_IF_ERROR(FlushExpired(event.time));
-  last_event_time_ = event.time;
-  ++metrics_.events;
-  switch (event.kind) {
-    case io::Event::Kind::kTaskArrival:
-      return HandleTaskArrival(event);
-    case io::Event::Kind::kWorkerArrival:
-      return HandleWorkerArrival(event);
-    case io::Event::Kind::kTaskMove:
-      return HandleTaskMove(event);
-  }
-  return Status::InvalidArgument("unknown event kind");
-}
-
-Status StreamEngine::HandleTaskArrival(const io::Event& event) {
-  const auto id = static_cast<model::TaskId>(instance().num_tasks());
-  ++metrics_.task_events;
-  return pipeline_->AddTask(id, event.time, event.location).status();
-}
-
-Status StreamEngine::HandleWorkerArrival(const io::Event& event) {
-  ++metrics_.worker_events;
-  bool flush_now = false;
-  LTC_RETURN_IF_ERROR(pipeline_->BufferWorker(
-      static_cast<model::WorkerIndex>(instance().num_workers() + 1),
-      event.location, event.accuracy, event.time, &flush_now));
-  if (flush_now) return FlushBatch(event.time);
-  return Status::OK();
-}
-
-Status StreamEngine::HandleTaskMove(const io::Event& event) {
-  if (event.task < 0 ||
-      static_cast<std::int64_t>(event.task) >= instance().num_tasks()) {
-    return Status::InvalidArgument(
-        StrFormat("move event references unknown task %d", event.task));
-  }
-  // Single pipeline: global and local task ids coincide.
-  LTC_RETURN_IF_ERROR(pipeline_->MoveTask(event.task, event.location));
-  ++metrics_.move_events;
-  return Status::OK();
-}
-
-Status StreamEngine::FlushExpired(double now) {
-  if (!pipeline_->has_open_batch()) return Status::OK();
-  // The service would have flushed the moment the deadline ran out, not
-  // when the next event happened to arrive — commit at that instant. The
-  // pipeline owns the instant: open time + the fixed deadline, or the
-  // forecast-positioned time under the adaptive policy.
-  const double flush_time = pipeline_->batch_flush_time();
-  if (now >= flush_time) return FlushBatch(flush_time);
-  return Status::OK();
-}
-
-Status StreamEngine::FlushBatch(double flush_time) {
-  if (!pipeline_->has_open_batch()) return Status::OK();
-  const std::size_t n = pipeline_->batch_size();
-  pipeline_->PrepareGather();
-
-  // Phase 1 — gather: each buffered worker's eligible open tasks as of the
-  // flush instant. Pure reads of pipeline state into index-addressed slots,
-  // so the fan-out is deterministic at any pool size.
-  if (pool_ != nullptr && n > 1) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      futures.push_back(pool_->Submit([this, i] { pipeline_->GatherSlot(i); }));
-    }
-    LTC_RETURN_IF_ERROR(ConsumeFutures(&futures, "gather"));
-  } else {
-    for (std::size_t i = 0; i < n; ++i) pipeline_->GatherSlot(i);
-  }
-
-  // Phase 2 — commit, then fold the pipeline's pending records into the
-  // engine-wide log.
-  LTC_RETURN_IF_ERROR(pipeline_->CommitBatch(flush_time));
-  for (const StreamAssignment& a : pipeline_->pending_assignments()) {
-    assignments_.push_back(a);
-    ++metrics_.assignments;
-  }
-  pipeline_->pending_assignments().clear();
-  pipeline_->pending_closed().clear();
-  for (const WorkerMove& m : pipeline_->pending_moves()) {
-    moves_.push_back(m);
-  }
-  pipeline_->pending_moves().clear();
-  return Status::OK();
-}
-
-StatusOr<StreamMetrics> StreamEngine::Finish() {
-  if (finished_) {
-    return Status::FailedPrecondition("Finish called twice");
-  }
-  double end_time = last_event_time_;
-  if (pipeline_->has_open_batch()) {
-    // The service waits out the deadline for the final stragglers.
-    const double final_flush = pipeline_->batch_flush_time();
-    end_time = std::max(end_time, final_flush);
-    LTC_RETURN_IF_ERROR(FlushBatch(final_flush));
-  }
-  // Batch schedulers may still hold a partial Theorem-2 batch; drain it at
-  // the stream's end instant and fold the commitments into the log.
-  LTC_RETURN_IF_ERROR(pipeline_->CommitStreamEnd(end_time));
-  for (const StreamAssignment& a : pipeline_->pending_assignments()) {
-    assignments_.push_back(a);
-    ++metrics_.assignments;
-  }
-  pipeline_->pending_assignments().clear();
-  pipeline_->pending_closed().clear();
-  for (const WorkerMove& m : pipeline_->pending_moves()) {
-    moves_.push_back(m);
-  }
-  pipeline_->pending_moves().clear();
-  // One deterministic global move order; stable so equal (time, worker)
-  // keys — zero-length legs — keep their route order.
-  std::stable_sort(moves_.begin(), moves_.end(),
-                   [](const WorkerMove& a, const WorkerMove& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.worker < b.worker;
-                   });
-  finished_ = true;
-  metrics_.worker_moves = static_cast<std::int64_t>(moves_.size());
-  metrics_.routed_workers = pipeline_->routed_workers();
-  metrics_.route_travel_time = pipeline_->route_travel_time();
-  metrics_.last_event_time = last_event_time_;
-  metrics_.batches = pipeline_->batches();
-  metrics_.max_batch_size = pipeline_->max_batch_size();
-  metrics_.tasks_completed = pipeline_->tasks_completed();
-  metrics_.open_tasks = pipeline_->open_tasks();
-  metrics_.quiet_flushes = pipeline_->quiet_flushes();
-  metrics_.deadline_extensions = pipeline_->deadline_extensions();
-  metrics_.shards = 1;
-  metrics_.assignment_latency =
-      sim::SummarizeLatencies(pipeline_->mutable_assignment_latency_samples());
-  metrics_.completion_latency =
-      sim::SummarizeLatencies(pipeline_->mutable_completion_latency_samples());
-
-  if (options_.validate && metrics_.move_events == 0 &&
-      instance().num_tasks() > 0) {
-    LTC_RETURN_IF_ERROR(pipeline_->Validate());
-    metrics_.validated = true;
-  }
-  return metrics_;
-}
-
-// --- ReplayEventLog -------------------------------------------------------
-
-StatusOr<ReplayResult> ReplayEventLog(
-    const io::EventLog& log, const StreamOptions& options,
-    std::vector<StreamAssignment>* assignments_out,
-    std::vector<WorkerMove>* moves_out) {
-  LTC_RETURN_IF_ERROR(log.Validate());
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  StreamOptions resolved = options;
-  // The replay knows the whole log, so fix the grid geometry to cover every
-  // location it will ever see (union with the configured world).
-  for (const io::Event& e : log.events) {
-    resolved.world.min_x = std::min(resolved.world.min_x, e.location.x);
-    resolved.world.min_y = std::min(resolved.world.min_y, e.location.y);
-    resolved.world.max_x = std::max(resolved.world.max_x, e.location.x);
-    resolved.world.max_y = std::max(resolved.world.max_y, e.location.y);
-  }
-
-  if (resolved.shards > 1) {
-    Stopwatch watch;
-    LTC_ASSIGN_OR_RETURN(auto engine,
-                         ShardedStreamEngine::Create(log, resolved));
-    for (const io::Event& e : log.events) {
-      LTC_RETURN_IF_ERROR(engine->OnEvent(e));
-    }
-    ReplayResult result;
-    LTC_ASSIGN_OR_RETURN(result.stream, engine->Finish());
-    result.run.algorithm = resolved.algorithm;
-    result.run.latency = engine->max_assigned_worker();
-    result.run.completed =
-        result.stream.tasks_completed == result.stream.task_events;
-    result.run.runtime_seconds = watch.ElapsedSeconds();
-    result.run.assignment_latency = result.stream.assignment_latency;
-    result.run.stats.workers_seen = result.stream.worker_events;
-    result.run.stats.assignments = result.stream.assignments;
-    result.run.stats.total_acc_star = engine->total_acc_star();
-    result.run.stats.workers_used = engine->workers_used();
-    if (assignments_out != nullptr) {
-      *assignments_out = engine->assignments();
-    }
-    if (moves_out != nullptr) {
-      *moves_out = engine->worker_moves();
-    }
-    return result;
-  }
-
-  Stopwatch watch;
-  LTC_ASSIGN_OR_RETURN(auto engine, StreamEngine::Create(log, resolved));
-  for (const io::Event& e : log.events) {
-    LTC_RETURN_IF_ERROR(engine->OnEvent(e));
-  }
-  ReplayResult result;
-  LTC_ASSIGN_OR_RETURN(result.stream, engine->Finish());
-
-  const model::Arrangement& arr = engine->arrangement();
-  result.run.algorithm = resolved.algorithm;
-  result.run.latency = arr.MaxWorkerIndex();
-  result.run.completed = arr.AllCompleted();
-  result.run.runtime_seconds = watch.ElapsedSeconds();
-  result.run.assignment_latency = result.stream.assignment_latency;
-  result.run.stats.workers_seen = result.stream.worker_events;
-  result.run.stats.assignments = arr.size();
-  for (const model::Assignment& a : arr.assignments()) {
-    result.run.stats.total_acc_star += a.acc_star;
-  }
-  for (model::WorkerIndex w = 1; w <= arr.MaxWorkerIndex(); ++w) {
-    if (arr.Load(w) > 0) ++result.run.stats.workers_used;
-  }
-  if (assignments_out != nullptr) {
-    *assignments_out = engine->assignments();
-  }
-  if (moves_out != nullptr) {
-    *moves_out = engine->worker_moves();
-  }
-  return result;
 }
 
 }  // namespace svc

@@ -19,6 +19,7 @@
 #include "model/accuracy.h"
 #include "model/eligibility.h"
 #include "svc/serve_main.h"
+#include "svc/sharded_engine.h"
 #include "svc/stream_engine.h"
 
 namespace ltc {

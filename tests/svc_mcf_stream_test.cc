@@ -18,6 +18,7 @@
 #include "io/event_log.h"
 #include "model/eligibility.h"
 #include "svc/serve_main.h"
+#include "svc/sharded_engine.h"
 #include "svc/stream_engine.h"
 #include "gtest/gtest.h"
 

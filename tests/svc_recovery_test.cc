@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/fault_points.h"
+#include "common/string_util.h"
 #include "gen/road.h"
 #include "gen/stream.h"
 #include "geo/road_graph.h"
@@ -604,6 +605,100 @@ TEST(DurableServeTest, RerunOverRecoveredStateIsIdentical) {
   EXPECT_TRUE(second.value().recovery.recovered);
   EXPECT_EQ(second.value().recovery.replayed, 0);
   EXPECT_EQ(second.value().assignment_log, first.value().assignment_log);
+}
+
+/// `state` with field `field` of the first `key` record replaced by
+/// `value` (unchanged when no such record exists).
+std::string ReplaceField(const std::string& state, const std::string& key,
+                         std::size_t field, const std::string& value) {
+  const std::size_t line = state.find("\n" + key + " ");
+  if (line == std::string::npos) return state;
+  std::size_t begin = line + 1;
+  for (std::size_t i = 0; i < field; ++i) begin = state.find(' ', begin) + 1;
+  const std::size_t end = state.find_first_of(" \n", begin);
+  return state.substr(0, begin) + value + state.substr(end);
+}
+
+// A damaged record count in an engine-state blob is a clean error, never
+// an allocation sized by the damage: every count is checked against the
+// lines left to read before anything is reserved.
+TEST(SnapshotRoundTripTest, BadRecordCountsAreRejected) {
+  const io::EventLog log = MakeLog(20, 400, 67);
+  StreamOptions options = BaseOptions("LAF", 1);
+  options.route_workers = true;
+  auto engine = ShardedStreamEngine::Create(log, options);
+  engine.status().CheckOK();
+  for (const io::Event& e : log.events) {
+    engine.value()->OnEvent(e).CheckOK();
+  }
+  std::string state;
+  engine.value()->SerializeTo(&state).CheckOK();
+  ASSERT_TRUE(ShardedStreamEngine::Restore(log, options, state).ok());
+
+  struct Damage {
+    const char* key;
+    std::size_t field;
+  };
+  // Engine-level counts, pipeline-level counts, and a route's stop count.
+  for (const Damage d : {Damage{"log", 1}, Damage{"moves", 1},
+                         Damage{"tasks", 1}, Damage{"ptasks", 1},
+                         Damage{"pworkers", 1}, Damage{"pr", 6}}) {
+    for (const char* count : {"-1", "100000000000"}) {
+      const std::string damaged = ReplaceField(state, d.key, d.field, count);
+      ASSERT_NE(damaged, state) << d.key;
+      const auto restored = ShardedStreamEngine::Restore(log, options, damaged);
+      ASSERT_FALSE(restored.ok()) << d.key << " " << count;
+      EXPECT_TRUE(restored.status().IsInvalidArgument() ||
+                  restored.status().IsOutOfRange())
+          << d.key << " " << count << ": " << restored.status().ToString();
+    }
+  }
+}
+
+// Every serving mode runs the one engine: in-memory replay (RunService)
+// and the durable path (RunDurableService: WAL, periodic snapshots) render
+// byte-identical logs for a stream inside the configured world (durable
+// runs never widen it; in-memory replay widens it only to cover the log).
+TEST(DurableServeTest, InMemoryAndDurableLogsAreByteIdentical) {
+  const io::EventLog log = MakeLog(60, 3000, 83, /*move_fraction=*/0.1);
+  const geo::Rect world = BaseOptions("LAF", 1).world;
+  for (const io::Event& e : log.events) {
+    ASSERT_TRUE(e.location.x >= world.min_x && e.location.x <= world.max_x &&
+                e.location.y >= world.min_y && e.location.y <= world.max_y);
+  }
+  struct Scheduler {
+    const char* algorithm;
+    bool route_workers;
+  };
+  for (const Scheduler sched :
+       {Scheduler{"LAF", true}, Scheduler{"MCF", false}}) {
+    for (const bool adaptive : {false, true}) {
+      for (const int shards : {1, 4}) {
+        StreamOptions options = BaseOptions(sched.algorithm, shards);
+        options.route_workers = sched.route_workers;
+        options.batch_deadline = adaptive ? 0.5 : 0.0;
+        options.deadline_policy =
+            adaptive ? DeadlinePolicy::kAdaptive : DeadlinePolicy::kFixed;
+        const std::string label =
+            StrFormat("%s adaptive=%d shards=%d", sched.algorithm,
+                      adaptive ? 1 : 0, shards);
+
+        auto in_memory = RunService(log, options);
+        ASSERT_TRUE(in_memory.ok()) << label << in_memory.status().ToString();
+        DurableConfig dcfg;
+        dcfg.state_dir = FreshDir("mode_parity");
+        dcfg.snapshot_every = 500;
+        dcfg.wal.fsync = false;
+        auto durable = RunDurableService(log, options, dcfg);
+        ASSERT_TRUE(durable.ok()) << label << durable.status().ToString();
+
+        EXPECT_GT(in_memory.value().metrics.assignments, 0) << label;
+        EXPECT_EQ(in_memory.value().assignment_log,
+                  durable.value().assignment_log)
+            << label;
+      }
+    }
+  }
 }
 
 // Restoring into a different topology is refused loudly instead of

@@ -1,9 +1,8 @@
 // Tests of the sharded streaming service (DESIGN.md §9): the geo::ShardMap
-// stripe partition, single-shard parity with the classic engine, the
-// boundary-handoff/claim protocol, the shards=K determinism contract
-// (byte-identical serve logs for --threads 1 vs 4), and the completion-rate
-// property that sharding must not degrade the served task set beyond a
-// small boundary epsilon.
+// stripe partition, the boundary-handoff/claim protocol, the shards=K
+// determinism contract (byte-identical serve logs for --threads 1 vs 4),
+// and the completion-rate property that sharding must not degrade the
+// served task set beyond a small boundary epsilon.
 
 #include <cmath>
 #include <map>
@@ -101,49 +100,6 @@ TEST(ShardMapTest, MoreShardsThanColumnsLeavesTrailingShardsEmpty) {
     owners.insert(s);
   }
   EXPECT_EQ(owners.size(), 2u);
-}
-
-// shards=1 through the sharded router must reproduce the classic engine's
-// committed assignment sequence exactly — the refactor extracted the
-// pipeline, it must not have changed it.
-TEST(ShardedEngineTest, SingleShardMatchesClassicEngine) {
-  auto log = gen::GenerateStreamEvents(SmallStream(41));
-  ASSERT_TRUE(log.ok());
-
-  StreamOptions options;
-  options.algorithm = "LAF";
-  options.batch_deadline = 0.4;
-  std::vector<StreamAssignment> classic;
-  auto classic_replay = ReplayEventLog(log.value(), options, &classic);
-  ASSERT_TRUE(classic_replay.ok()) << classic_replay.status().ToString();
-
-  options.shards = 1;
-  StreamOptions resolved = options;
-  for (const io::Event& e : log.value().events) {
-    resolved.world.min_x = std::min(resolved.world.min_x, e.location.x);
-    resolved.world.min_y = std::min(resolved.world.min_y, e.location.y);
-    resolved.world.max_x = std::max(resolved.world.max_x, e.location.x);
-    resolved.world.max_y = std::max(resolved.world.max_y, e.location.y);
-  }
-  auto sharded = ShardedStreamEngine::Create(log.value(), resolved);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  for (const io::Event& e : log.value().events) {
-    ASSERT_TRUE(sharded.value()->OnEvent(e).ok());
-  }
-  auto metrics = sharded.value()->Finish();
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-
-  const std::vector<StreamAssignment>& merged = sharded.value()->assignments();
-  ASSERT_EQ(merged.size(), classic.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].worker, classic[i].worker) << i;
-    EXPECT_EQ(merged[i].task, classic[i].task) << i;
-    EXPECT_DOUBLE_EQ(merged[i].time, classic[i].time) << i;
-  }
-  EXPECT_EQ(metrics.value().boundary_workers, 0);
-  EXPECT_EQ(metrics.value().handoff_skips, 0);
-  EXPECT_EQ(metrics.value().tasks_completed,
-            classic_replay.value().stream.tasks_completed);
 }
 
 // The tentpole acceptance contract: a K-shard serve log is byte-identical
