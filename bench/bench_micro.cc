@@ -1,12 +1,15 @@
 // google-benchmark micro suite for the performance-critical substrates:
-// the min-cost-flow solver, the grid index, eligibility queries, and a
-// single online-arrival step of LAF/AAM.
+// the min-cost-flow solver, the grid index, eligibility queries, a
+// single online-arrival step of LAF/AAM, and the text codec every WAL,
+// wire payload and snapshot goes through (event record format/parse,
+// one full engine SerializeTo).
 //
 // Run:  ./build/bench/bench_micro [--benchmark_filter=...]
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algo/aam.h"
@@ -15,9 +18,12 @@
 #include "flow/graph.h"
 #include "flow/max_flow.h"
 #include "flow/min_cost_flow.h"
+#include "gen/stream.h"
 #include "gen/synthetic.h"
 #include "geo/grid_index.h"
+#include "io/event_log.h"
 #include "model/eligibility.h"
+#include "svc/sharded_engine.h"
 
 namespace {
 
@@ -175,6 +181,75 @@ void BM_EligibilityQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EligibilityQuery)->Arg(100)->Arg(1000);
+
+/// The synthetic ltc_serve stream (`--synthetic --tasks=N/40 --workers=N`
+/// with the default seed): 82k events at workers=80000.
+ltc::io::EventLog SyntheticStream(std::int64_t workers) {
+  ltc::gen::StreamConfig cfg;
+  cfg.num_tasks = workers / 40;
+  cfg.num_workers = workers;
+  cfg.seed = 42;
+  auto log = ltc::gen::GenerateStreamEvents(cfg);
+  log.status().CheckOK();
+  return std::move(log).value();
+}
+
+// One WAL append / wire encode: a %.17g text record per event.
+void BM_FormatEventRecord(benchmark::State& state) {
+  const ltc::io::EventLog log = SyntheticStream(4000);
+  std::string out;
+  std::size_t cursor = 0;
+  for (auto _ : state) {
+    if (cursor == 0) out.clear();
+    ltc::io::AppendEventRecord(&out, log.events[cursor]);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    cursor = (cursor + 1) % log.events.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FormatEventRecord);
+
+// One wire decode / WAL replay step: the inverse of the row above.
+void BM_ParseEventRecord(benchmark::State& state) {
+  const ltc::io::EventLog log = SyntheticStream(4000);
+  std::vector<std::string> lines(log.events.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    ltc::io::AppendEventRecord(&lines[i], log.events[i]);
+  }
+  std::size_t cursor = 0;
+  for (auto _ : state) {
+    auto event = ltc::io::ParseEventRecord(lines[cursor]);
+    benchmark::DoNotOptimize(event);
+    cursor = (cursor + 1) % lines.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParseEventRecord);
+
+// One full snapshot body: LAF at deadline 0 after the whole stream.
+void BM_EngineSerialize(benchmark::State& state) {
+  const ltc::io::EventLog log = SyntheticStream(state.range(0));
+  ltc::svc::StreamOptions options;
+  options.algorithm = "LAF";
+  options.validate = false;
+  auto engine = ltc::svc::ShardedStreamEngine::Create(log, options);
+  engine.status().CheckOK();
+  for (const ltc::io::Event& e : log.events) {
+    engine.value()->OnEvent(e).CheckOK();
+  }
+  std::string state_bytes;
+  for (auto _ : state) {
+    state_bytes.clear();
+    engine.value()->SerializeTo(&state_bytes).CheckOK();
+    benchmark::DoNotOptimize(state_bytes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(state_bytes.size()));
+  state.counters["events"] = static_cast<double>(log.num_events());
+}
+BENCHMARK(BM_EngineSerialize)->Arg(80000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -131,22 +131,20 @@ Status McfStream::SerializeState(std::string* out) const {
     return Status::FailedPrecondition("SerializeState before InitStreaming");
   }
   for (const model::Assignment& a : arrangement_->assignments()) {
-    out->append(StrFormat("a %lld %lld %.17g\n",
-                          static_cast<long long>(a.worker),
-                          static_cast<long long>(a.task), a.acc_star));
+    AppendRecord(out, "a", a.worker, a.task, a.acc_star);
   }
   // One line per buffered worker: "b <worker> [cand...]" in buffer order,
   // candidates exactly as gathered at admission.
   for (std::size_t p = 0; p < buf_worker_.size(); ++p) {
-    out->append(StrFormat("b %lld", static_cast<long long>(buf_worker_[p])));
+    out->append("b ");
+    AppendInt(out, buf_worker_[p]);
     for (std::size_t k = buf_begin_[p]; k < buf_begin_[p + 1]; ++k) {
-      out->append(StrFormat(" %lld", static_cast<long long>(buf_cand_[k])));
+      out->push_back(' ');
+      AppendInt(out, buf_cand_[k]);
     }
     out->push_back('\n');
   }
-  out->append(StrFormat("m %d %lld", first_batch_ ? 1 : 0,
-                        static_cast<long long>(batches_solved_)));
-  out->push_back('\n');
+  AppendRecord(out, "m", first_batch_ ? 1 : 0, batches_solved_);
   return Status::OK();
 }
 

@@ -89,9 +89,7 @@ Status OnlineSchedulerBase::SerializeState(std::string* out) const {
     return Status::FailedPrecondition("SerializeState before InitStreaming");
   }
   for (const model::Assignment& a : arrangement_->assignments()) {
-    out->append(StrFormat("a %lld %lld %.17g\n",
-                          static_cast<long long>(a.worker),
-                          static_cast<long long>(a.task), a.acc_star));
+    AppendRecord(out, "a", a.worker, a.task, a.acc_star);
   }
   SerializeExtras(out);
   return Status::OK();

@@ -45,12 +45,8 @@ void RandomAssign::SelectTasks(const model::Worker& worker,
 
 void RandomAssign::SerializeExtras(std::string* out) const {
   const Rng::State s = rng_.SaveState();
-  out->append(StrFormat("x rng %llu %llu %llu %llu %.17g %d\n",
-                        static_cast<unsigned long long>(s.s[0]),
-                        static_cast<unsigned long long>(s.s[1]),
-                        static_cast<unsigned long long>(s.s[2]),
-                        static_cast<unsigned long long>(s.s[3]),
-                        s.cached_gaussian, s.has_cached_gaussian ? 1 : 0));
+  AppendRecord(out, "x rng", s.s[0], s.s[1], s.s[2], s.s[3], s.cached_gaussian,
+               s.has_cached_gaussian ? 1 : 0);
 }
 
 Status RandomAssign::RestoreExtra(const std::string& payload) {

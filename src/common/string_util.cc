@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -10,14 +11,17 @@
 namespace ltc {
 
 std::string StrFormat(const char* fmt, ...) {
+  char buf[256];
   va_list ap;
   va_start(ap, fmt);
   va_list ap2;
   va_copy(ap2, ap);
-  int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
   va_end(ap);
   std::string out;
-  if (n > 0) {
+  if (n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
+    out.assign(buf, static_cast<size_t>(n));
+  } else if (n > 0) {
     out.resize(static_cast<size_t>(n));
     std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
   }
@@ -49,7 +53,9 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return out;
 }
 
-std::string Trim(const std::string& s) {
+std::string Trim(const std::string& s) { return std::string(TrimView(s)); }
+
+std::string_view TrimView(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
@@ -112,23 +118,63 @@ std::string DoubleToString(double v, int precision) {
   return StrFormat("%.*f", precision, v);
 }
 
-bool ParseDouble(const std::string& s, double* out) {
+void AppendDouble(std::string* out, double v, int precision) {
+  char buf[64];  // %.17g needs at most 24 chars ("-2.2250738585072014e-308").
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, precision);
+  if (r.ec == std::errc()) {
+    out->append(buf, r.ptr);
+    return;
+  }
+  // Only a precision too wide for the stack buffer lands here; printf
+  // writes the same bytes.
+  out->append(StrFormat("%.*g", precision, v));
+}
+
+bool ParseDouble(std::string_view s, double* out) {
   if (s.empty()) return false;
-  char* end = nullptr;
+  const char* const end = s.data() + s.size();
+  double v = 0.0;
+  const std::from_chars_result r = std::from_chars(s.data(), end, v);
+  if (r.ec == std::errc() && r.ptr == end) {
+    *out = v;
+    return true;
+  }
+  // The forms from_chars does not take (leading '+' or whitespace, hex,
+  // out of range) keep strtod's rule. strtod flags a subnormal result
+  // ERANGE although the value is exact to the last printed digit; it is
+  // accepted like the from_chars path accepts it. Underflow to zero and
+  // overflow stay rejected.
+  const std::string copy(s);
+  char* parsed_end = nullptr;
   errno = 0;
-  double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  v = std::strtod(copy.c_str(), &parsed_end);
+  if (parsed_end != copy.c_str() + copy.size()) return false;
+  if (errno != 0 &&
+      !(errno == ERANGE && std::fpclassify(v) == FP_SUBNORMAL)) {
+    return false;
+  }
   *out = v;
   return true;
 }
 
-bool ParseInt64(const std::string& s, std::int64_t* out) {
+bool ParseInt64(std::string_view s, std::int64_t* out) {
   if (s.empty()) return false;
-  char* end = nullptr;
+  const char* const end = s.data() + s.size();
+  std::int64_t v = 0;
+  const std::from_chars_result r = std::from_chars(s.data(), end, v);
+  if (r.ec == std::errc() && r.ptr == end) {
+    *out = v;
+    return true;
+  }
+  // strtoll's rule for what from_chars does not take (leading '+' or
+  // whitespace); out-of-range input is rejected by both.
+  const std::string copy(s);
+  char* parsed_end = nullptr;
   errno = 0;
-  long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<std::int64_t>(v);
+  const long long parsed = std::strtoll(copy.c_str(), &parsed_end, 10);
+  if (errno != 0 || parsed_end != copy.c_str() + copy.size()) return false;
+  *out = static_cast<std::int64_t>(parsed);
   return true;
 }
 

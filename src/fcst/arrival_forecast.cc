@@ -80,16 +80,11 @@ void CellRateEstimator::CellRates(double now,
 Status CellRateEstimator::SerializeTo(std::string* out) const {
   std::int64_t touched = 0;
   for (const Cell& cell : cells_) touched += cell.touched ? 1 : 0;
-  out->append(StrFormat("fcst %lld %.17g %lld %lld\n",
-                        static_cast<long long>(cells_.size()), config_.horizon,
-                        static_cast<long long>(events_),
-                        static_cast<long long>(touched)));
+  AppendRecord(out, "fcst", cells_.size(), config_.horizon, events_, touched);
   for (std::size_t c = 0; c < cells_.size(); ++c) {
     const Cell& cell = cells_[c];
     if (!cell.touched) continue;
-    out->append(StrFormat("fc %lld %.17g %.17g %.17g\n",
-                          static_cast<long long>(c), cell.worker_rate,
-                          cell.task_rate, cell.last));
+    AppendRecord(out, "fc", c, cell.worker_rate, cell.task_rate, cell.last);
   }
   out->append("endfcst\n");
   return Status::OK();

@@ -79,19 +79,18 @@ StatusOr<std::string> SerializeEventLogHeader(const EventLog& log) {
   return out;
 }
 
-std::string FormatEventRecord(const Event& e) {
+void AppendEventRecord(std::string* out, const Event& e) {
   switch (e.kind) {
     case Event::Kind::kTaskArrival:
-      return StrFormat("t %.17g %.17g %.17g\n", e.time, e.location.x,
-                       e.location.y);
+      AppendRecord(out, "t", e.time, e.location.x, e.location.y);
+      return;
     case Event::Kind::kWorkerArrival:
-      return StrFormat("w %.17g %.17g %.17g %.17g\n", e.time, e.location.x,
-                       e.location.y, e.accuracy);
+      AppendRecord(out, "w", e.time, e.location.x, e.location.y, e.accuracy);
+      return;
     case Event::Kind::kTaskMove:
-      return StrFormat("m %.17g %d %.17g %.17g\n", e.time, e.task,
-                       e.location.x, e.location.y);
+      AppendRecord(out, "m", e.time, e.task, e.location.x, e.location.y);
+      return;
   }
-  return std::string();
 }
 
 StatusOr<std::string> SerializeEventLog(const EventLog& log) {
@@ -99,84 +98,107 @@ StatusOr<std::string> SerializeEventLog(const EventLog& log) {
   LTC_ASSIGN_OR_RETURN(std::string out, SerializeEventLogHeader(log));
   out += StrFormat("events %lld\n", static_cast<long long>(log.num_events()));
   for (const Event& e : log.events) {
-    out += FormatEventRecord(e);
+    AppendEventRecord(&out, e);
   }
   return out;
 }
 
-StatusOr<Event> ParseEventRecord(const std::string& line) {
-  const std::string trimmed = Trim(line);
-  const auto fields = Split(trimmed, ' ');
-  if (fields.empty() || fields[0].empty()) {
+StatusOr<Event> ParseEventRecord(std::string_view line) {
+  const std::string_view trimmed = TrimView(line);
+  // Fields are split on single spaces, as views into the line; a sixth
+  // field only marks the record as too long.
+  std::string_view fields[6];
+  std::size_t n = 0;
+  for (std::size_t start = 0; n < 6;) {
+    const std::size_t space = trimmed.find(' ', start);
+    fields[n++] = trimmed.substr(start, space - start);
+    if (space == std::string_view::npos) break;
+    start = space + 1;
+  }
+  if (fields[0].empty()) {
     return Status::InvalidArgument("empty event record");
   }
-  const std::string& key = fields[0];
+  const std::string_view key = fields[0];
+  auto bad = [&](const char* kind) {
+    return Status::InvalidArgument(std::string("bad ") + kind +
+                                   " event record: " + std::string(trimmed));
+  };
   Event e;
   if (key == "t") {
-    if (fields.size() != 4) {
-      return Status::InvalidArgument("bad task event record: " + trimmed);
-    }
     e.kind = Event::Kind::kTaskArrival;
-    if (!ParseDouble(fields[1], &e.time) ||
+    if (n != 4 || !ParseDouble(fields[1], &e.time) ||
         !ParseDouble(fields[2], &e.location.x) ||
         !ParseDouble(fields[3], &e.location.y)) {
-      return Status::InvalidArgument("bad task event record: " + trimmed);
+      return bad("task");
     }
     return e;
   }
   if (key == "w") {
-    if (fields.size() != 5) {
-      return Status::InvalidArgument("bad worker event record: " + trimmed);
-    }
     e.kind = Event::Kind::kWorkerArrival;
-    if (!ParseDouble(fields[1], &e.time) ||
+    if (n != 5 || !ParseDouble(fields[1], &e.time) ||
         !ParseDouble(fields[2], &e.location.x) ||
         !ParseDouble(fields[3], &e.location.y) ||
         !ParseDouble(fields[4], &e.accuracy)) {
-      return Status::InvalidArgument("bad worker event record: " + trimmed);
+      return bad("worker");
     }
     return e;
   }
   if (key == "m") {
-    if (fields.size() != 5) {
-      return Status::InvalidArgument("bad move event record: " + trimmed);
-    }
     e.kind = Event::Kind::kTaskMove;
     std::int64_t task;
-    if (!ParseDouble(fields[1], &e.time) || !ParseInt64(fields[2], &task) ||
+    if (n != 5 || !ParseDouble(fields[1], &e.time) ||
+        !ParseInt64(fields[2], &task) ||
         !ParseDouble(fields[3], &e.location.x) ||
         !ParseDouble(fields[4], &e.location.y)) {
-      return Status::InvalidArgument("bad move event record: " + trimmed);
+      return bad("move");
     }
     e.task = static_cast<model::TaskId>(task);
     return e;
   }
-  return Status::InvalidArgument("unknown event record '" + key + "'");
+  return Status::InvalidArgument("unknown event record '" + std::string(key) +
+                                 "'");
 }
 
 StatusOr<EventLog> ParseEventLog(const std::string& text) {
-  // Split on '\n'; CRLF-terminated files are tolerated because every line
-  // is Trim()med (which strips the dangling '\r') before field splitting.
-  const std::vector<std::string> lines = Split(text, '\n');
-  if (lines.empty() || Trim(lines[0]) != kHeader) {
+  // Lines are views into `text`, split on '\n'; CRLF-terminated files are
+  // tolerated because every line is trimmed (which strips the dangling
+  // '\r') before field splitting.
+  const std::string_view all(text);
+  const std::size_t header_end = all.find('\n');
+  if (TrimView(all.substr(0, header_end)) != kHeader) {
     return Status::InvalidArgument("missing ltc-events v1 header");
   }
   // Every record the writer emits is newline-terminated, so a non-empty
   // final line without its '\n' means the file was cut mid-record. Failing
   // here is what keeps a truncated last event from parsing "successfully"
   // with a silently shortened coordinate or accuracy field.
-  if (text.back() != '\n' && !Trim(lines.back()).empty()) {
-    return Status::InvalidArgument(
-        "truncated final line (ltc-events v1 files are newline-terminated): "
-        "'" + Trim(lines.back()) + "'");
+  if (text.back() != '\n') {
+    const std::string_view last = TrimView(all.substr(all.rfind('\n') + 1));
+    if (!last.empty()) {
+      return Status::InvalidArgument(
+          "truncated final line (ltc-events v1 files are newline-terminated): "
+          "'" + std::string(last) + "'");
+    }
   }
   EventLog log;
   std::int64_t expected_events = -1;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::string line = Trim(lines[i]);
+  std::size_t i = 0;  // line index; the header is line 0
+  for (std::size_t end = header_end; end != std::string_view::npos;) {
+    const std::size_t start = end + 1;
+    end = all.find('\n', start);
+    ++i;
+    const std::string_view line = TrimView(all.substr(start, end - start));
     if (line.empty()) continue;
-    const auto fields = Split(line, ' ');
-    const std::string& key = fields[0];
+    const std::string_view key = line.substr(0, line.find(' '));
+    if (key == "t" || key == "w" || key == "m") {
+      auto event = ParseEventRecord(line);
+      if (!event.ok()) {
+        return event.status().WithContext(StrFormat("line %zu", i + 1));
+      }
+      log.events.push_back(event.value());
+      continue;
+    }
+    const auto fields = Split(std::string(line), ' ');
     auto need = [&](std::size_t n) -> Status {
       if (fields.size() != n) {
         return Status::InvalidArgument(
@@ -215,14 +237,9 @@ StatusOr<EventLog> ParseEventLog(const std::string& text) {
         return Status::InvalidArgument("bad event count");
       }
       log.events.reserve(static_cast<std::size_t>(expected_events));
-    } else if (key == "t" || key == "w" || key == "m") {
-      auto event = ParseEventRecord(line);
-      if (!event.ok()) {
-        return event.status().WithContext(StrFormat("line %zu", i + 1));
-      }
-      log.events.push_back(event.value());
     } else {
-      return Status::InvalidArgument("unknown record '" + key + "'");
+      return Status::InvalidArgument("unknown record '" + std::string(key) +
+                                     "'");
     }
   }
   if (expected_events >= 0 && expected_events != log.num_events()) {

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -85,15 +86,17 @@ StatusOr<std::string> SerializeEventLog(const EventLog& log);
 /// is unknowable at open time (io/wal.h).
 StatusOr<std::string> SerializeEventLogHeader(const EventLog& log);
 
-/// One v1 event record, newline-terminated — byte-identical to the record
-/// SerializeEventLog would emit. Shared with the WAL appender so a WAL is
-/// always a byte-prefix-compatible ltc-events file.
-std::string FormatEventRecord(const Event& e);
+/// Appends one v1 event record, newline-terminated, to `out` — the record
+/// SerializeEventLog emits. Shared with the WAL appender and the wire
+/// encoder, so a WAL is always a byte-prefix-compatible ltc-events file
+/// and a socket payload is the same text. Doubles are %.17g bytes, written
+/// by common::AppendDouble.
+void AppendEventRecord(std::string* out, const Event& e);
 
 /// Parses one v1 event record line ("t ...", "w ...", "m ...") — the
-/// inverse of FormatEventRecord. Shared with the wire codec (net/frame.h)
+/// inverse of AppendEventRecord. Shared with the wire codec (net/frame.h)
 /// so a socket payload is the same text a WAL or replay file holds.
-StatusOr<Event> ParseEventRecord(const std::string& line);
+StatusOr<Event> ParseEventRecord(std::string_view line);
 
 /// Parses the v1 text format back into a log (validated).
 StatusOr<EventLog> ParseEventLog(const std::string& text);

@@ -106,7 +106,7 @@ Status EventLogWriter::Append(const Event& event) {
   if (auto action = FaultPoints::Instance().Hit("wal.append")) {
     return Status::IOError("injected wal.append fault: " + *action);
   }
-  buffer_ += FormatEventRecord(event);
+  AppendEventRecord(&buffer_, event);
   ++records_appended_;
   ++records_since_flush_;
   if (options_.group_commit > 0 &&

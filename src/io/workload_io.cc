@@ -69,14 +69,13 @@ StatusOr<std::string> SerializeInstance(
   out += accuracy_line + "\n";
   out += StrFormat("tasks %lld\n", static_cast<long long>(instance.num_tasks()));
   for (const model::Task& t : instance.tasks) {
-    out += StrFormat("t %d %.17g %.17g\n", t.id, t.location.x, t.location.y);
+    AppendRecord(&out, "t", t.id, t.location.x, t.location.y);
   }
   out += StrFormat("workers %lld\n",
                    static_cast<long long>(instance.num_workers()));
   for (const model::Worker& w : instance.workers) {
-    out += StrFormat("w %d %.17g %.17g %.17g %lld\n", w.index, w.location.x,
-                     w.location.y, w.historical_accuracy,
-                     static_cast<long long>(w.user_id));
+    AppendRecord(&out, "w", w.index, w.location.x, w.location.y,
+                 w.historical_accuracy, w.user_id);
   }
   return out;
 }

@@ -120,21 +120,23 @@ Status AckToStatus(const Ack& ack) {
 std::string EncodeEventsPayload(const std::vector<io::Event>& events) {
   std::string out;
   for (const io::Event& e : events) {
-    out += io::FormatEventRecord(e);
+    io::AppendEventRecord(&out, e);
   }
   return out;
 }
 
 StatusOr<std::vector<io::Event>> DecodeEventsPayload(
     const std::string& payload) {
-  std::vector<io::Event> events;
-  const std::vector<std::string> lines = Split(payload, '\n');
   if (!payload.empty() && payload.back() != '\n') {
     return Status::InvalidArgument(
         "wire: events payload not newline-terminated");
   }
-  for (const std::string& raw : lines) {
-    const std::string line = Trim(raw);
+  std::vector<io::Event> events;
+  const std::string_view all(payload);
+  for (std::size_t start = 0; start < all.size();) {
+    const std::size_t end = all.find('\n', start);
+    const std::string_view line = TrimView(all.substr(start, end - start));
+    start = end + 1;
     if (line.empty()) continue;
     LTC_ASSIGN_OR_RETURN(const io::Event e, io::ParseEventRecord(line));
     events.push_back(e);

@@ -213,13 +213,29 @@ std::string RenderAssignmentLog(
   }
   if (options.route_workers) out += " routes 1";
   out += '\n';
+  // Times and coordinates print at 9 significant digits (%.9g bytes).
   for (const StreamAssignment& a : assignments) {
-    out += StrFormat("a %.9g %d %d\n", a.time, a.worker, a.task);
+    out += "a ";
+    AppendDouble(&out, a.time, 9);
+    out += ' ';
+    AppendInt(&out, a.worker);
+    out += ' ';
+    AppendInt(&out, a.task);
+    out += '\n';
   }
   if (options.route_workers && moves != nullptr) {
     for (const WorkerMove& m : *moves) {
-      out += StrFormat("m %.9g %d %.9g %.9g %d\n", m.time, m.worker,
-                       m.location.x, m.location.y, m.task);
+      out += "m ";
+      AppendDouble(&out, m.time, 9);
+      out += ' ';
+      AppendInt(&out, m.worker);
+      out += ' ';
+      AppendDouble(&out, m.location.x, 9);
+      out += ' ';
+      AppendDouble(&out, m.location.y, 9);
+      out += ' ';
+      AppendInt(&out, m.task);
+      out += '\n';
     }
   }
   out += StrFormat(

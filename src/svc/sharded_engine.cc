@@ -92,67 +92,51 @@ Status ShardedStreamEngine::SerializeTo(std::string* out) const {
   if (finished_) {
     return Status::FailedPrecondition("SerializeTo after Finish");
   }
-  out->append(StrFormat("shards %d\n", num_shards()));
-  out->append(StrFormat("clock %.17g\n", last_event_time_));
-  out->append(StrFormat("counters %lld %lld %lld %lld %lld %lld\n",
-                        static_cast<long long>(metrics_.events),
-                        static_cast<long long>(metrics_.task_events),
-                        static_cast<long long>(metrics_.worker_events),
-                        static_cast<long long>(metrics_.move_events),
-                        static_cast<long long>(metrics_.boundary_workers),
-                        static_cast<long long>(metrics_.handoff_skips)));
+  AppendRecord(out, "shards", num_shards());
+  AppendRecord(out, "clock", last_event_time_);
+  AppendRecord(out, "counters", metrics_.events, metrics_.task_events,
+               metrics_.worker_events, metrics_.move_events,
+               metrics_.boundary_workers, metrics_.handoff_skips);
 
-  out->append(StrFormat("tasks %lld\n",
-                        static_cast<long long>(task_route_.size())));
+  AppendRecord(out, "tasks", task_route_.size());
   for (std::size_t t = 0; t < task_route_.size(); ++t) {
-    out->append(StrFormat("r %d %lld %d\n", task_route_[t].shard,
-                          static_cast<long long>(task_route_[t].local),
-                          task_open_[t] ? 1 : 0));
+    AppendRecord(out, "r", task_route_[t].shard, task_route_[t].local,
+                 task_open_[t] ? 1 : 0);
   }
 
   // Hash-map state in sorted key order: snapshot bytes must not depend on
   // iteration order (common::SortedKeys is the lint-sanctioned walk).
   const std::vector<model::TaskId> displaced_keys = SortedKeys(displaced_);
-  out->append(StrFormat("displaced %lld\n",
-                        static_cast<long long>(displaced_keys.size())));
+  AppendRecord(out, "displaced", displaced_keys.size());
   for (const model::TaskId task : displaced_keys) {
     const Displaced& d = displaced_.at(task);
-    out->append(StrFormat("d %lld %d %.17g %.17g\n",
-                          static_cast<long long>(task), d.owner, d.location.x,
-                          d.location.y));
+    AppendRecord(out, "d", task, d.owner, d.location.x, d.location.y);
   }
   const std::vector<model::WorkerIndex> claim_keys = SortedKeys(claims_);
-  out->append(StrFormat("claims %lld\n",
-                        static_cast<long long>(claim_keys.size())));
+  AppendRecord(out, "claims", claim_keys.size());
   for (const model::WorkerIndex worker : claim_keys) {
     const Claim& c = claims_.at(worker);
-    out->append(StrFormat("c %lld %d %d\n", static_cast<long long>(worker),
-                          c.shard, c.remaining));
+    AppendRecord(out, "c", worker, c.shard, c.remaining);
   }
 
   // The merged assignment log: a restarted server re-renders the *complete*
   // log, so the prefix committed before the snapshot rides along.
-  out->append(StrFormat("log %lld\n",
-                        static_cast<long long>(assignments_.size())));
+  AppendRecord(out, "log", assignments_.size());
   for (const StreamAssignment& a : assignments_) {
-    out->append(StrFormat("A %.17g %lld %lld\n", a.time,
-                          static_cast<long long>(a.worker),
-                          static_cast<long long>(a.task)));
+    AppendRecord(out, "A", a.time, a.worker, a.task);
   }
   // The merged move log, route_workers mode only — the default snapshot
   // bytes stay exactly the pre-routing format.
   if (options_.route_workers) {
-    out->append(StrFormat("moves %lld\n",
-                          static_cast<long long>(moves_.size())));
+    AppendRecord(out, "moves", moves_.size());
     for (const WorkerMove& m : moves_) {
-      out->append(StrFormat("M %.17g %lld %.17g %.17g %lld\n", m.time,
-                            static_cast<long long>(m.worker), m.location.x,
-                            m.location.y, static_cast<long long>(m.task)));
+      AppendRecord(out, "M", m.time, m.worker, m.location.x, m.location.y,
+                   m.task);
     }
   }
 
   for (int s = 0; s < num_shards(); ++s) {
-    out->append(StrFormat("pipeline %d\n", s));
+    AppendRecord(out, "pipeline", s);
     LTC_RETURN_IF_ERROR(
         pipelines_[static_cast<std::size_t>(s)]->SerializeTo(out));
   }

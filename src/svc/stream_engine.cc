@@ -124,65 +124,53 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
         "pipeline snapshot mid-round: pending records not yet merged");
   }
   const std::int64_t nt = instance_.num_tasks();
-  out->append(StrFormat("ptasks %lld\n", static_cast<long long>(nt)));
+  AppendRecord(out, "ptasks", nt);
   for (std::int64_t t = 0; t < nt; ++t) {
     const auto ti = static_cast<std::size_t>(t);
     // Current location, not arrival location: moves already applied.
-    out->append(StrFormat("pt %lld %.17g %.17g %.17g\n",
-                          static_cast<long long>(task_global_[ti]),
-                          task_arrival_time_[ti],
-                          instance_.tasks[ti].location.x,
-                          instance_.tasks[ti].location.y));
+    AppendRecord(out, "pt", task_global_[ti], task_arrival_time_[ti],
+                 instance_.tasks[ti].location.x,
+                 instance_.tasks[ti].location.y);
   }
-  out->append(StrFormat("pworkers %lld\n",
-                        static_cast<long long>(instance_.num_workers())));
+  AppendRecord(out, "pworkers", instance_.num_workers());
   for (std::size_t i = 0; i < instance_.workers.size(); ++i) {
     const model::Worker& w = instance_.workers[i];
-    out->append(StrFormat("pw %lld %.17g %.17g %.17g\n",
-                          static_cast<long long>(worker_global_[i]),
-                          w.location.x, w.location.y, w.historical_accuracy));
+    AppendRecord(out, "pw", worker_global_[i], w.location.x, w.location.y,
+                 w.historical_accuracy);
   }
-  out->append(StrFormat("pbatch %.17g %lld", batch_open_time_,
-                        static_cast<long long>(batch_.size())));
+  out->append("pbatch ");
+  AppendDouble(out, batch_open_time_);
+  out->push_back(' ');
+  AppendInt(out, batch_.size());
   for (const model::WorkerIndex w : batch_) {
-    out->append(StrFormat(" %lld", static_cast<long long>(w)));
+    out->push_back(' ');
+    AppendInt(out, w);
   }
   out->push_back('\n');
-  out->append(StrFormat("pcounters %lld %lld %lld\n",
-                        static_cast<long long>(batches_),
-                        static_cast<long long>(max_batch_size_),
-                        static_cast<long long>(tasks_completed_)));
-  out->append(StrFormat("plat_a %lld\n", static_cast<long long>(
-                                             assignment_latency_samples_.size())));
+  AppendRecord(out, "pcounters", batches_, max_batch_size_, tasks_completed_);
+  AppendRecord(out, "plat_a", assignment_latency_samples_.size());
   for (const double v : assignment_latency_samples_) {
-    out->append(StrFormat("l %.17g\n", v));
+    AppendRecord(out, "l", v);
   }
-  out->append(StrFormat("plat_c %lld\n", static_cast<long long>(
-                                             completion_latency_samples_.size())));
+  AppendRecord(out, "plat_c", completion_latency_samples_.size());
   for (const double v : completion_latency_samples_) {
-    out->append(StrFormat("l %.17g\n", v));
+    AppendRecord(out, "l", v);
   }
   std::string sched;
   LTC_RETURN_IF_ERROR(scheduler_->SerializeState(&sched));
   const auto sched_lines =
       static_cast<std::int64_t>(std::count(sched.begin(), sched.end(), '\n'));
-  out->append(StrFormat("sched %lld\n", static_cast<long long>(sched_lines)));
+  AppendRecord(out, "sched", sched_lines);
   out->append(sched);
   // Route state rides along only in route_workers mode, so the default
   // snapshot bytes are exactly the pre-routing format.
   if (config_.options.route_workers) {
-    out->append(StrFormat("proutes %lld\n",
-                          static_cast<long long>(routes_.size())));
+    AppendRecord(out, "proutes", routes_.size());
     for (const auto& [w, route] : routes_) {
-      out->append(StrFormat("pr %lld %.17g %.17g %.17g %lld %lld\n",
-                            static_cast<long long>(w), route.origin().x,
-                            route.origin().y, route.start_time(),
-                            static_cast<long long>(route.visited()),
-                            static_cast<long long>(route.stops().size())));
+      AppendRecord(out, "pr", w, route.origin().x, route.origin().y,
+                   route.start_time(), route.visited(), route.stops().size());
       for (const model::WorkerRoute::Stop& s : route.stops()) {
-        out->append(StrFormat("ps %lld %.17g %.17g\n",
-                              static_cast<long long>(s.task), s.location.x,
-                              s.location.y));
+        AppendRecord(out, "ps", s.task, s.location.x, s.location.y);
       }
     }
   }
@@ -196,11 +184,10 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
     LTC_RETURN_IF_ERROR(forecast_->SerializeTo(&blob));
     const auto blob_lines =
         static_cast<std::int64_t>(std::count(blob.begin(), blob.end(), '\n'));
-    out->append(StrFormat("pfcst %lld\n", static_cast<long long>(blob_lines)));
+    AppendRecord(out, "pfcst", blob_lines);
     out->append(blob);
-    out->append(StrFormat("pdl %.17g %lld %lld\n", batch_flush_time_,
-                          static_cast<long long>(quiet_flushes_),
-                          static_cast<long long>(deadline_extensions_)));
+    AppendRecord(out, "pdl", batch_flush_time_, quiet_flushes_,
+                 deadline_extensions_);
   }
   out->append("endpipe\n");
   return Status::OK();

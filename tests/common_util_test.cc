@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/math_util.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "common/table.h"
 
@@ -62,6 +71,262 @@ TEST(ParseTest, ValidatesWholeString) {
   EXPECT_TRUE(ParseInt64("-42", &i));
   EXPECT_EQ(i, -42);
   EXPECT_FALSE(ParseInt64("4.2", &i));
+}
+
+// --- The number codec: AppendDouble/AppendInt against printf, ParseDouble/
+// ParseInt64 against the strtod/strtoll rule they replaced. ---
+
+std::string Printf(int precision, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+  return buf;
+}
+
+std::string Appended(double v, int precision) {
+  std::string out;
+  AppendDouble(&out, v, precision);
+  return out;
+}
+
+double FromBits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(AppendDoubleTest, MatchesPrintfOnSpecialValues) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {0.0, -0.0, kInf, -kInf, kNan, -kNan};
+  values.insert(values.end(), {DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX});
+  values.insert(values.end(), {DBL_TRUE_MIN, -DBL_TRUE_MIN, DBL_EPSILON});
+  values.insert(values.end(), {1e300, 1e-300, -1e300, -1e-300});
+  values.insert(values.end(), {0.1, 1.0 / 3.0, 2.0322308024183599e-313});
+  values.insert(values.end(), {0.0001, 0.00001, 1e16, 1e17, 1e18});
+  values.insert(values.end(), {123456789.0, 0.5, 720.0, -720.0, 1.0});
+  values.insert(values.end(), {100000.0, 9007199254740993.0});
+  for (const double v : values) {
+    for (const int precision : {17, 9, 1, 6, 30}) {
+      EXPECT_EQ(Appended(v, precision), Printf(precision, v))
+          << "bits " << Bits(v) << " precision " << precision;
+    }
+  }
+  for (std::int64_t i = -1000; i <= 1000; ++i) {
+    EXPECT_EQ(Appended(static_cast<double>(i), 17),
+              Printf(17, static_cast<double>(i)));
+  }
+  // Wider than AppendDouble's stack buffer: still printf's bytes.
+  EXPECT_EQ(Appended(DBL_TRUE_MIN, 100), StrFormat("%.100g", DBL_TRUE_MIN));
+}
+
+TEST(AppendDoubleTest, MatchesPrintfOnRandomBitPatterns) {
+  // Uniform 64-bit patterns cover every exponent, subnormals and NaN
+  // payloads in proportion; a second stream draws typical stream values.
+  Rng rng(20181);
+  int mismatches = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const double v = FromBits(rng.NextU64());
+    for (const int precision : {17, 9}) {
+      if (Appended(v, precision) != Printf(precision, v) && ++mismatches < 5) {
+        ADD_FAILURE() << "bits " << Bits(v) << " precision " << precision
+                      << ": " << Appended(v, precision) << " vs "
+                      << Printf(precision, v);
+      }
+    }
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const double v = rng.Uniform(-1000.0, 1000.0);
+    if (Appended(v, 17) != Printf(17, v) && ++mismatches < 5) {
+      ADD_FAILURE() << "value " << Printf(17, v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(AppendIntTest, MatchesPrintf) {
+  const long long kMax = std::numeric_limits<long long>::max();
+  const long long kMin = std::numeric_limits<long long>::min();
+  for (const long long v : {0LL, 1LL, -1LL, 1000000007LL, kMax, kMin}) {
+    std::string out;
+    AppendInt(&out, v);
+    EXPECT_EQ(out, StrFormat("%lld", v));
+  }
+  std::string out;
+  AppendInt(&out, std::numeric_limits<unsigned long long>::max());
+  EXPECT_EQ(out,
+            StrFormat("%llu", std::numeric_limits<unsigned long long>::max()));
+  out.clear();
+  AppendInt(&out, std::numeric_limits<int>::min());
+  EXPECT_EQ(out, StrFormat("%d", std::numeric_limits<int>::min()));
+}
+
+TEST(AppendRecordTest, SpacesFieldsAndEndsTheLine) {
+  std::string out = "x\n";
+  AppendRecord(&out, "pt", 3, 0.5, 2.0, -7LL, 0.1);
+  EXPECT_EQ(out, "x\npt 3 0.5 2 -7 0.10000000000000001\n");
+  AppendRecord(&out, "endpipe");
+  EXPECT_EQ(out, "x\npt 3 0.5 2 -7 0.10000000000000001\nendpipe\n");
+}
+
+// The plain strtod/strtoll rule: the reference ParseDouble/ParseInt64 are
+// compared against.
+bool StrtodRule(const std::string& s, double* out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  double v = std::strtod(s.c_str(), &end);
+  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool StrtollRule(const std::string& s, std::int64_t* out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  long long v = std::strtoll(s.c_str(), &end, 10);
+  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  *out = static_cast<std::int64_t>(v);
+  return true;
+}
+
+// True when strtod parses all of `s` to a subnormal and flags it ERANGE —
+// the one input class the codec now accepts and the old rule rejected.
+bool IsSubnormalInput(const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  return !s.empty() && end == s.c_str() + s.size() && errno == ERANGE &&
+         std::fpclassify(v) == FP_SUBNORMAL;
+}
+
+void ExpectParsesLikeStrtod(const std::string& s) {
+  double want = 0.0;
+  double got = 0.0;
+  const bool old_ok = StrtodRule(s, &want);
+  const bool new_ok = ParseDouble(s, &got);
+  if (IsSubnormalInput(s)) {
+    EXPECT_FALSE(old_ok) << "'" << s << "'";
+    ASSERT_TRUE(new_ok) << "subnormal '" << s << "' rejected";
+    char* end = nullptr;
+    EXPECT_EQ(Bits(got), Bits(std::strtod(s.c_str(), &end))) << "'" << s << "'";
+    return;
+  }
+  ASSERT_EQ(new_ok, old_ok) << "'" << s << "'";
+  if (!old_ok) return;
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << "'" << s << "'";
+    EXPECT_EQ(std::signbit(got), std::signbit(want)) << "'" << s << "'";
+  } else {
+    EXPECT_EQ(Bits(got), Bits(want)) << "'" << s << "'";
+  }
+}
+
+void ExpectParsesLikeStrtoll(const std::string& s) {
+  std::int64_t want = 0;
+  std::int64_t got = 0;
+  const bool old_ok = StrtollRule(s, &want);
+  ASSERT_EQ(ParseInt64(s, &got), old_ok) << "'" << s << "'";
+  if (old_ok) {
+    EXPECT_EQ(got, want) << "'" << s << "'";
+  }
+}
+
+TEST(ParseCodecTest, AcceptsExactlyWhatStrtodAndStrtollAccepted) {
+  std::vector<std::string> corpus = {"+1", " 1", "1 ", "\t1", "1\n", "1 2"};
+  corpus.insert(corpus.end(), {"0x1p3", "0X1P-2", "0x", ".5", "5.", "."});
+  corpus.insert(corpus.end(), {"1e", "1e+", "1e5", "1E-5", "1e5.5", "1..2"});
+  corpus.insert(corpus.end(), {"1e400", "-1e400", "1e-400", "-0", "0", ""});
+  corpus.insert(corpus.end(), {"inf", "-inf", "+inf", "INF", "infinity"});
+  corpus.insert(corpus.end(), {"nan", "-nan", "NaN", "nan(123)"});
+  corpus.insert(corpus.end(), {"-", "+", "--1", "+-1", "3.5x", "x3.5"});
+  corpus.insert(corpus.end(), {"00012", "-00012", "12345678901234567890123"});
+  // Round-trip text at the edges of the double range, subnormals included.
+  corpus.insert(corpus.end(), {"0.10000000000000001", "+2e-313", " 2e-313"});
+  corpus.push_back("1.7976931348623157e+308");
+  corpus.push_back("1.7976931348623159e+308");
+  corpus.push_back("2.2250738585072014e-308");
+  corpus.push_back("2.0322308024183599e-313");
+  corpus.push_back("4.9406564584124654e-324");
+  corpus.push_back("2.4703282292062327e-324");
+  corpus.push_back("2.4703282292062328e-324");
+  // The int64 range and one past it on each side.
+  corpus.push_back("9223372036854775807");
+  corpus.push_back("9223372036854775808");
+  corpus.push_back("-9223372036854775808");
+  corpus.push_back("-9223372036854775809");
+  corpus.push_back("18446744073709551616");
+  for (const std::string& s : corpus) {
+    ExpectParsesLikeStrtod(s);
+    ExpectParsesLikeStrtoll(s);
+  }
+  // An embedded NUL ends what strtod sees, so the whole string is never
+  // consumed.
+  std::string with_nul = "12";
+  with_nul[1] = '\0';
+  double d;
+  std::int64_t i;
+  EXPECT_FALSE(ParseDouble(with_nul, &d));
+  EXPECT_FALSE(ParseInt64(with_nul, &i));
+}
+
+TEST(ParseCodecTest, RandomStringsParseLikeStrtod) {
+  // Short strings over the characters numbers are made of: the accept sets
+  // must agree everywhere, not only on the hand-picked corpus.
+  const char kAlphabet[] = "0123456789+-.eExXpPinfaINFAN ";
+  Rng rng(2018);
+  for (int i = 0; i < 200000; ++i) {
+    const auto len = rng.UniformInt(0, 8);
+    std::string s;
+    for (std::int64_t k = 0; k < len; ++k) {
+      s.push_back(kAlphabet[rng.UniformInt(0, sizeof(kAlphabet) - 2)]);
+    }
+    ExpectParsesLikeStrtod(s);
+    ExpectParsesLikeStrtoll(s);
+  }
+}
+
+TEST(ParseCodecTest, EveryPrintedDoubleRoundTrips) {
+  // "%.17g" round-trips every double — subnormals included, which strtod's
+  // ERANGE made unparseable before.
+  Rng rng(42);
+  for (int i = 0; i < 200000; ++i) {
+    const double v = FromBits(rng.NextU64());
+    if (std::isnan(v)) continue;
+    double back = 0.0;
+    ASSERT_TRUE(ParseDouble(Appended(v, 17), &back)) << Appended(v, 17);
+    ASSERT_EQ(Bits(back), Bits(v)) << Appended(v, 17);
+  }
+  for (const double v : {DBL_TRUE_MIN, -DBL_TRUE_MIN, DBL_MIN / 3.0,
+                         2.0322308024183599e-313}) {
+    double back = 0.0;
+    ASSERT_TRUE(ParseDouble(Appended(v, 17), &back)) << Appended(v, 17);
+    EXPECT_EQ(Bits(back), Bits(v));
+  }
+}
+
+TEST(StrFormatTest, OutputLongerThanTheStackBuffer) {
+  const std::string long_arg(1000, 'q');
+  const std::string out = StrFormat("<%s|%d>", long_arg.c_str(), 7);
+  EXPECT_EQ(out, "<" + long_arg + "|7>");
+  // Exactly at and around the buffer boundary.
+  for (std::size_t n = 250; n <= 260; ++n) {
+    const std::string arg(n, 'a');
+    EXPECT_EQ(StrFormat("%s", arg.c_str()), arg);
+  }
+  EXPECT_EQ(StrFormat("%s", ""), "");
+}
+
+TEST(TrimViewTest, MatchesTrim) {
+  for (const char* s : {"  a b  ", "\t\n x \r", "", "   ", "x"}) {
+    EXPECT_EQ(std::string(TrimView(s)), Trim(s));
+  }
 }
 
 TEST(MathTest, SigmoidProperties) {

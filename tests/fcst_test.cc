@@ -155,6 +155,37 @@ TEST(CellRateEstimatorTest, SnapshotRoundTripIsBitExact) {
   EXPECT_FALSE(mismatched.value().RestoreFrom(blob).ok());
 }
 
+TEST(CellRateEstimatorTest, SubnormalRateRoundTrips) {
+  // A cell that saw one task and then workers for 720 horizons decays its
+  // task rate to a subnormal double. "%.17g" prints it; restoring must
+  // parse it back rather than fail the whole snapshot.
+  CellRateEstimator::Config config;
+  config.horizon = 1.0;
+  auto created = CellRateEstimator::Create(config);
+  ASSERT_TRUE(created.ok());
+  CellRateEstimator& estimator = created.value();
+  estimator.OnTaskArrival({1.0, 1.0}, 0.0);
+  estimator.OnWorkerArrival({1.0, 1.0}, 720.0);
+
+  std::string blob;
+  ASSERT_TRUE(estimator.SerializeTo(&blob).ok());
+  EXPECT_EQ(blob,
+            "fcst 1 1 2 1\n"
+            "fc 0 1 2.0322308024183599e-313 720\n"
+            "endfcst\n");
+
+  auto restored = CellRateEstimator::Create(config);
+  ASSERT_TRUE(restored.ok());
+  const Status status = restored.value().RestoreFrom(blob);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(restored.value().TaskRate({1.0, 1.0}, 720.0),
+            estimator.TaskRate({1.0, 1.0}, 720.0));
+  EXPECT_GT(restored.value().TaskRate({1.0, 1.0}, 720.0), 0.0);
+  std::string blob2;
+  ASSERT_TRUE(restored.value().SerializeTo(&blob2).ok());
+  EXPECT_EQ(blob2, blob);
+}
+
 TEST(CellRateEstimatorTest, CellRatesListsTouchedCellsAscending) {
   auto created = CellRateEstimator::Create(GridConfig(100.0, 10.0));
   ASSERT_TRUE(created.ok());

@@ -18,6 +18,13 @@ namespace ltc {
 namespace io {
 namespace {
 
+/// One event's v1 record text.
+std::string Record(const Event& e) {
+  std::string out;
+  AppendEventRecord(&out, e);
+  return out;
+}
+
 model::ProblemInstance SmallSynthetic(std::uint64_t seed = 3) {
   gen::SyntheticConfig cfg;
   cfg.num_tasks = 8;
@@ -233,8 +240,8 @@ TEST(WalTest, CreateAppendReopenRoundTrip) {
   EXPECT_DOUBLE_EQ(recovery.log.epsilon, log.epsilon);
   EXPECT_EQ(recovery.log.capacity, log.capacity);
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(FormatEventRecord(recovery.log.events[i]),
-              FormatEventRecord(log.events[i]));
+    EXPECT_EQ(Record(recovery.log.events[i]),
+              Record(log.events[i]));
   }
   // Appends continue seamlessly; the file stays a parseable ltc-events log.
   ASSERT_TRUE(reopened.value()->Append(log.events[10]).ok());
@@ -340,15 +347,73 @@ TEST(WalTest, OpenForAppendOnMissingFileIsNotFound) {
 TEST(EventRecordCodecTest, ParseIsInverseOfFormat) {
   const io::EventLog log = SmallEventLog();
   for (const Event& e : log.events) {
-    auto parsed = ParseEventRecord(FormatEventRecord(e));
+    auto parsed = ParseEventRecord(Record(e));
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(FormatEventRecord(parsed.value()), FormatEventRecord(e));
+    EXPECT_EQ(Record(parsed.value()), Record(e));
   }
   EXPECT_FALSE(ParseEventRecord("t 0 1").ok());       // missing field
   EXPECT_FALSE(ParseEventRecord("w 0 1 2").ok());     // missing accuracy
   EXPECT_FALSE(ParseEventRecord("m 0 zero 1 2").ok());  // non-numeric id
   EXPECT_FALSE(ParseEventRecord("q 0 1 2").ok());     // unknown kind
   EXPECT_FALSE(ParseEventRecord("").ok());
+}
+
+Event MakeEvent(Event::Kind kind, double time, double x, double y,
+                double accuracy = 0.0, model::TaskId task = -1) {
+  Event e;
+  e.kind = kind;
+  e.time = time;
+  e.location = geo::Point{x, y};
+  e.accuracy = accuracy;
+  e.task = task;
+  return e;
+}
+
+// Checked-in record bytes (printf's %.17g): the WAL, wire payloads and
+// events files all carry these exact strings.
+TEST(EventRecordCodecTest, FormatMatchesGoldenBytes) {
+  EXPECT_EQ(Record(
+                MakeEvent(Event::Kind::kTaskArrival, 0.0, 100.25, 100.5)),
+            "t 0 100.25 100.5\n");
+  EXPECT_EQ(Record(MakeEvent(Event::Kind::kWorkerArrival, 0.15,
+                                        101.0, 99.0, 0.9)),
+            "w 0.14999999999999999 101 99 0.90000000000000002\n");
+  EXPECT_EQ(Record(MakeEvent(Event::Kind::kTaskMove, 0.35,
+                                        640.0 + 1.0 / 3.0, 470.0, 0.0, 2)),
+            "m 0.34999999999999998 2 640.33333333333337 470\n");
+  EXPECT_EQ(Record(MakeEvent(Event::Kind::kWorkerArrival, 1e-05,
+                                        -0.0, 1e300, 1.0)),
+            "w 1.0000000000000001e-05 -0 1.0000000000000001e+300 1\n");
+  EXPECT_EQ(Record(MakeEvent(Event::Kind::kTaskArrival,
+                                        123456789.125, 1e16, 5e-324)),
+            "t 123456789.125 10000000000000000 4.9406564584124654e-324\n");
+  EXPECT_EQ(Record(MakeEvent(Event::Kind::kTaskMove, 2.5e17,
+                                        -1.5, 0.0001, 0.0, 2147483647)),
+            "m 2.5e+17 2147483647 -1.5 0.0001\n");
+
+  // Records append in place, after whatever the buffer holds.
+  std::string out = "x";
+  AppendEventRecord(&out,
+                    MakeEvent(Event::Kind::kTaskArrival, 0.0, 100.25, 100.5));
+  EXPECT_EQ(out, "xt 0 100.25 100.5\n");
+}
+
+TEST(EventRecordCodecTest, ParseSplitsOnSingleSpacesOnly) {
+  // Surrounding whitespace is trimmed; inner fields are single-space
+  // separated, so a doubled space is an empty (bad) field.
+  auto parsed = ParseEventRecord("  w 1 2 3 0.5\r\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().kind, Event::Kind::kWorkerArrival);
+  EXPECT_EQ(parsed.value().accuracy, 0.5);
+  EXPECT_FALSE(ParseEventRecord("w 1  2 3 0.5").ok());
+  EXPECT_FALSE(ParseEventRecord("w 1 2 3 0.5 6").ok());  // extra field
+  EXPECT_FALSE(ParseEventRecord("w 1 2 3 0.5 6 7 8").ok());
+  EXPECT_FALSE(ParseEventRecord("t\t0 1 2").ok());
+  EXPECT_FALSE(ParseEventRecord("   ").ok());
+  // A subnormal coordinate written by the formatter parses back.
+  auto tiny = ParseEventRecord("t 0 4.9406564584124654e-324 1");
+  ASSERT_TRUE(tiny.ok()) << tiny.status().ToString();
+  EXPECT_EQ(tiny.value().location.x, 5e-324);
 }
 
 TEST(ArrangementIoTest, RejectsBadReferences) {

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -272,6 +274,84 @@ TEST(CrashRecoveryTest, AdaptiveDeadlineRecoversByteIdentical) {
   }
 }
 
+std::string NewestSnapshot(const std::string& snap_dir) {
+  std::string newest;
+  for (const auto& entry : std::filesystem::directory_iterator(snap_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("snap-", 0) != 0) continue;
+    if (newest.empty() || name > newest) newest = name;
+  }
+  EXPECT_FALSE(newest.empty());
+  return snap_dir + "/" + newest;
+}
+
+/// True when some space-separated token of `text` is a subnormal double.
+bool HoldsSubnormal(const std::string& text) {
+  for (const std::string& line : Split(text, '\n')) {
+    for (const std::string& token : Split(line, ' ')) {
+      char* end = nullptr;
+      const double v = std::strtod(token.c_str(), &end);
+      if (!token.empty() && *end == '\0' &&
+          std::fpclassify(v) == FP_SUBNORMAL) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// With a forecast horizon of 0.001, a cell that sees workers ~0.71 time
+// units after its last task decays that task rate below DBL_MIN, and
+// "%.17g" writes the subnormal into the snapshot. Recovery has to parse
+// it back (strtod flags it ERANGE) rather than refuse a CRC-valid
+// snapshot, and must then reproduce the uninterrupted log.
+TEST(CrashRecoveryTest, SubnormalForecastRateRecoversByteIdentical) {
+  const io::EventLog log = MakeLog(50, 1000, 29);
+  const std::int64_t n = log.num_events();
+  for (int shards : {1, 3}) {
+    StreamOptions options = BaseOptions("LAF", shards);
+    options.deadline_policy = DeadlinePolicy::kAdaptive;
+    options.forecast_horizon = 0.001;
+    const std::string tag = "subnormal_s" + std::to_string(shards);
+    const std::string golden = GoldenLog(log, options, "golden_" + tag);
+
+    for (const std::int64_t crash_at : {n / 2, n - 20}) {
+      const std::string dir =
+          FreshDir("crash_" + tag + "_" + std::to_string(crash_at));
+      const auto sopts = ServiceOptions(dir, options, 97, 16);
+      {
+        auto service = RecoverableService::Open(log, sopts);
+        service.status().CheckOK();
+        for (std::int64_t i = 0; i < crash_at; ++i) {
+          service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
+              .CheckOK();
+        }
+      }
+      // The precondition: the snapshot recovery loads holds a subnormal.
+      auto snapshot = io::ReadFile(NewestSnapshot(dir + "/snapshots"));
+      snapshot.status().CheckOK();
+      ASSERT_TRUE(HoldsSubnormal(snapshot.value())) << tag << " @" << crash_at;
+
+      auto service = RecoverableService::Open(log, sopts);
+      ASSERT_TRUE(service.ok()) << tag << " crash@" << crash_at << ": "
+                                << service.status().ToString();
+      const RecoverableService::RecoveryInfo& r = service.value()->recovery();
+      EXPECT_TRUE(r.recovered);
+      EXPECT_EQ(r.snapshots_discarded, 0);
+      EXPECT_GT(r.snapshot_events, 0);
+      for (std::int64_t i = service.value()->events_applied(); i < n; ++i) {
+        service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
+            .CheckOK();
+      }
+      auto metrics = service.value()->Finish();
+      metrics.status().CheckOK();
+      const std::string recovered_log = RenderAssignmentLog(
+          options, service.value()->assignments(), metrics.value());
+      EXPECT_EQ(recovered_log, golden) << tag << " crash@" << crash_at;
+    }
+  }
+}
+
 // Route workers on a road metric: the snapshot carries each route's stops
 // and progress, Restore rebuilds the routes and their due-time queue, and
 // the WAL suffix replays on top. The recovered log, worker-move ('m')
@@ -430,17 +510,6 @@ std::string DamagedRecoveryLog(const io::EventLog& log,
   metrics.status().CheckOK();
   return RenderAssignmentLog(options, service.value()->assignments(),
                              metrics.value());
-}
-
-std::string NewestSnapshot(const std::string& snap_dir) {
-  std::string newest;
-  for (const auto& entry : std::filesystem::directory_iterator(snap_dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("snap-", 0) != 0) continue;
-    if (newest.empty() || name > newest) newest = name;
-  }
-  EXPECT_FALSE(newest.empty());
-  return snap_dir + "/" + newest;
 }
 
 // A corrupt newest snapshot (CRC mismatch) is discarded; recovery falls
@@ -699,6 +768,254 @@ TEST(DurableServeTest, InMemoryAndDurableLogsAreByteIdentical) {
       }
     }
   }
+}
+
+// --- Golden snapshot bytes: any drift in the number codec (digits,
+// exponent form, integer widths) fails here before it can reach a state
+// directory. ---
+
+io::Event GoldenEvent(io::Event::Kind kind, double time, double x, double y,
+                      double accuracy = 0.0, model::TaskId task = -1) {
+  io::Event e;
+  e.kind = kind;
+  e.time = time;
+  e.location = geo::Point{x, y};
+  e.accuracy = accuracy;
+  e.task = task;
+  return e;
+}
+
+/// A fixed 10-event stream: three tasks (one relocated), six workers.
+io::EventLog GoldenStream() {
+  io::EventLog log = MakeLog(1, 1, 1);
+  using Kind = io::Event::Kind;
+  log.events = {GoldenEvent(Kind::kTaskArrival, 0.0, 100.25, 100.5),
+                GoldenEvent(Kind::kTaskArrival, 0.1, 110.0, 104.75),
+                GoldenEvent(Kind::kWorkerArrival, 0.15, 101.0, 99.0, 0.9),
+                GoldenEvent(Kind::kWorkerArrival, 0.2, 108.5, 103.0, 0.83),
+                GoldenEvent(Kind::kTaskArrival, 0.3, 640.0, 480.0),
+                GoldenEvent(Kind::kTaskMove, 0.35, 640.0 + 1.0 / 3.0, 470.0,
+                            0.0, 2),
+                GoldenEvent(Kind::kWorkerArrival, 0.45, 105.0, 102.0, 0.71),
+                GoldenEvent(Kind::kWorkerArrival, 0.6, 635.0, 472.5, 0.95),
+                GoldenEvent(Kind::kWorkerArrival, 0.7, 111.0, 105.0, 0.88),
+                GoldenEvent(Kind::kWorkerArrival, 0.85, 642.0, 469.0, 0.77)};
+  return log;
+}
+
+std::string GoldenStreamState(const StreamOptions& options) {
+  const io::EventLog log = GoldenStream();
+  auto engine = ShardedStreamEngine::Create(log, options);
+  engine.status().CheckOK();
+  for (const io::Event& e : log.events) {
+    engine.value()->OnEvent(e).CheckOK();
+  }
+  std::string state;
+  engine.value()->SerializeTo(&state).CheckOK();
+  return state;
+}
+
+constexpr char kGoldenLafState[] = R"(shards 1
+clock 0.84999999999999998
+counters 10 3 6 1 0 0
+tasks 3
+r 0 0 1
+r 0 1 1
+r 0 2 1
+displaced 0
+claims 0
+log 10
+A 0.14999999999999999 1 0
+A 0.14999999999999999 1 1
+A 0.20000000000000001 2 1
+A 0.20000000000000001 2 0
+A 0.45000000000000001 3 0
+A 0.45000000000000001 3 1
+A 0.59999999999999998 4 2
+A 0.69999999999999996 5 1
+A 0.69999999999999996 5 0
+A 0.84999999999999998 6 2
+pipeline 0
+ptasks 3
+pt 0 0 100.25 100.5
+pt 1 0.10000000000000001 110 104.75
+pt 2 0.29999999999999999 640.33333333333337 470
+pworkers 6
+pw 1 101 99 0.90000000000000002
+pw 2 108.5 103 0.82999999999999996
+pw 3 105 102 0.70999999999999996
+pw 4 635 472.5 0.94999999999999996
+pw 5 111 105 0.88
+pw 6 642 469 0.77000000000000002
+pbatch 0.84999999999999998 0
+pcounters 6 1 0
+plat_a 10
+l 0.14999999999999999
+l 0.049999999999999989
+l 0.10000000000000001
+l 0.20000000000000001
+l 0.45000000000000001
+l 0.34999999999999998
+l 0.29999999999999999
+l 0.59999999999999998
+l 0.69999999999999996
+l 0.55000000000000004
+plat_c 0
+sched 10
+a 1 0 0.63999999999855806
+a 1 1 0.63999998828276561
+a 2 1 0.43559999999794469
+a 2 0 0.43559999886323669
+a 3 0 0.1763999999837427
+a 3 1 0.1763999999664283
+a 4 2 0.80999999988431637
+a 5 1 0.57759999999929834
+a 5 0 0.5775999711776254
+a 6 2 0.29159999999891323
+endpipe
+)";
+
+constexpr char kGoldenMcfAdaptiveRoutesState[] = R"(shards 1
+clock 0.84999999999999998
+counters 10 3 6 1 0 0
+tasks 3
+r 0 0 1
+r 0 1 1
+r 0 2 1
+displaced 0
+claims 0
+log 10
+A 0.20000000000000001 1 0
+A 0.20000000000000001 1 1
+A 0.20000000000000001 2 0
+A 0.20000000000000001 2 1
+A 0.59999999999999998 3 0
+A 0.59999999999999998 3 1
+A 0.59999999999999998 4 2
+A 0.84999999999999998 5 0
+A 0.84999999999999998 5 1
+A 0.84999999999999998 6 2
+moves 0
+pipeline 0
+ptasks 3
+pt 0 0 100.25 100.5
+pt 1 0.10000000000000001 110 104.75
+pt 2 0.29999999999999999 640.33333333333337 470
+pworkers 6
+pw 1 101 99 0.90000000000000002
+pw 2 108.5 103 0.82999999999999996
+pw 3 105 102 0.70999999999999996
+pw 4 635 472.5 0.94999999999999996
+pw 5 111 105 0.88
+pw 6 642 469 0.77000000000000002
+pbatch 0.84999999999999998 0
+pcounters 6 1 0
+plat_a 10
+l 0.20000000000000001
+l 0.10000000000000001
+l 0.20000000000000001
+l 0.10000000000000001
+l 0.59999999999999998
+l 0.5
+l 0.29999999999999999
+l 0.84999999999999998
+l 0.75
+l 0.55000000000000004
+plat_c 0
+sched 11
+a 1 0 0.63999999999855806
+a 1 1 0.63999998828276561
+a 2 0 0.43559999886323669
+a 2 1 0.43559999999794469
+a 3 0 0.1763999999837427
+a 3 1 0.1763999999664283
+a 4 2 0.80999999988431637
+a 5 0 0.5775999711776254
+a 5 1 0.57759999999929834
+a 6 2 0.29159999999891323
+m 0 3
+proutes 6
+pr 1 101 99 0.20000000000000001 0 2
+ps 0 100.25 100.5
+ps 1 110 104.75
+pr 2 108.5 103 0.20000000000000001 0 2
+ps 1 110 104.75
+ps 0 100.25 100.5
+pr 3 105 102 0.59999999999999998 0 2
+ps 0 100.25 100.5
+ps 1 110 104.75
+pr 4 635 472.5 0.59999999999999998 0 1
+ps 2 640.33333333333337 470
+pr 5 111 105 0.84999999999999998 0 2
+ps 1 110 104.75
+ps 0 100.25 100.5
+pr 6 642 469 0.84999999999999998 0 1
+ps 2 640.33333333333337 470
+pfcst 5
+fcst 1225 8 9 3
+fc 108 0.48027579227586642 0.23049529474742883 0.69999999999999996
+fc 546 0.125 0 0.84999999999999998
+fc 581 0.125 0.12039930221510273 0.59999999999999998
+endfcst
+pdl 0 6 0
+endpipe
+)";
+
+constexpr char kGoldenRandomOpenBatchState[] = R"(shards 2
+clock 0.84999999999999998
+counters 10 3 6 1 0 0
+tasks 3
+r 0 0 1
+r 0 1 1
+r 1 0 1
+displaced 0
+claims 0
+log 0
+pipeline 0
+ptasks 2
+pt 0 0 100.25 100.5
+pt 1 0.10000000000000001 110 104.75
+pworkers 4
+pw 1 101 99 0.90000000000000002
+pw 2 108.5 103 0.82999999999999996
+pw 3 105 102 0.70999999999999996
+pw 5 111 105 0.88
+pbatch 0.14999999999999999 4 1 2 3 4
+pcounters 0 0 0
+plat_a 0
+plat_c 0
+sched 1
+x rng 7191089600892374487 309689372594955804 16616101746815609346 10753165928301472203 0 0
+endpipe
+pipeline 1
+ptasks 1
+pt 2 0.29999999999999999 640.33333333333337 470
+pworkers 2
+pw 4 635 472.5 0.94999999999999996
+pw 6 642 469 0.77000000000000002
+pbatch 0.59999999999999998 2 1 2
+pcounters 0 0 0
+plat_a 0
+plat_c 0
+sched 1
+x rng 17039259473404265729 18363971414914884509 8043341295829897994 2742686685723344479 0 0
+endpipe
+)";
+
+TEST(SnapshotGoldenTest, SerializeToBytesArePinned) {
+  StreamOptions laf = BaseOptions("LAF", 1);
+  laf.batch_deadline = 0.0;
+  EXPECT_EQ(GoldenStreamState(laf), kGoldenLafState);
+
+  StreamOptions mcf = BaseOptions("MCF", 1);
+  mcf.deadline_policy = DeadlinePolicy::kAdaptive;
+  mcf.route_workers = true;
+  EXPECT_EQ(GoldenStreamState(mcf), kGoldenMcfAdaptiveRoutesState);
+
+  // Open batches (worker lists on "pbatch") and Random's u64 rng words.
+  StreamOptions random = BaseOptions("Random", 2);
+  random.batch_deadline = 10.0;
+  EXPECT_EQ(GoldenStreamState(random), kGoldenRandomOpenBatchState);
 }
 
 // Restoring into a different topology is refused loudly instead of

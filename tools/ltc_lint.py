@@ -13,7 +13,7 @@ Rules (ids appear in findings and in suppression comments):
 
   unordered-iteration  Range-for / .begin() iteration over a
                        std::unordered_map/set inside a determinism-sensitive
-                       function (Serialize*/Snapshot*/FormatEventRecord/...).
+                       function (Serialize*/Snapshot*/AppendEventRecord/...).
                        Route through common::SortedKeys instead.
   address-ordering     reinterpret_cast to (u)intptr_t or std::hash over a
                        pointer type: address-based order/hash is different
@@ -24,9 +24,12 @@ Rules (ids appear in findings and in suppression comments):
                        common/random.* and common/timer.h — all randomness
                        flows through common::Random (seeded, mixable), all
                        timing through common::Timer (steady_clock).
-  float-format         A float conversion other than %.17g in a
-                       determinism-sensitive function: %.17g is the shortest
-                       printf format that round-trips every finite double.
+  float-format         A float conversion other than %.17g, or an
+                       AppendDouble call with an explicit precision other
+                       than 17, in a determinism-sensitive function: %.17g
+                       is the shortest printf format that round-trips every
+                       finite double, and common::AppendDouble (default
+                       precision 17) writes exactly its bytes.
   unchecked-status     A bare call statement to a function returning
                        Status/StatusOr. The compiler enforces this too
                        ([[nodiscard]] + -Werror in CI); the lint catches it
@@ -83,7 +86,7 @@ RULE_IDS = (
 # Function names whose bodies feed persisted, byte-compared artifacts
 # (snapshots, the WAL, serialized forecast/scheduler state).
 SENSITIVE_FN_RE = re.compile(
-    r"^(Serialize\w*|\w*Snapshot\w*|FormatEventRecord|WriteManifest)$")
+    r"^(Serialize\w*|\w*Snapshot\w*|AppendEventRecord|WriteManifest)$")
 
 # Files allowed to touch ambient randomness / the wall clock.
 RANDOMNESS_ALLOWED = {
@@ -383,6 +386,34 @@ RANDOMNESS_RES = [
 
 FLOAT_CONV_RE = re.compile(r"%[-+ #0-9.*]*(?:hh|h|ll|l|L)?[fFeEgG]")
 
+APPEND_DOUBLE_RE = re.compile(r"\bAppendDouble\s*\(")
+
+
+def append_double_precisions(text):
+    """The explicit precision argument (third, stripped) of every
+    AppendDouble(out, v, precision) call in `text`; calls that rely on the
+    default precision yield nothing."""
+    precisions = []
+    for m in APPEND_DOUBLE_RE.finditer(text):
+        depth = 0
+        args = [""]
+        for c in text[m.end() - 1:]:
+            if c in "([{":
+                depth += 1
+                if depth == 1:
+                    continue
+            elif c in ")]}":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif c == "," and depth == 1:
+                args.append("")
+                continue
+            args[-1] += c
+        if len(args) >= 3:
+            precisions.append(args[2].strip())
+    return precisions
+
 CALL_STMT_RE = re.compile(
     r"^(?:[A-Za-z_]\w*(?:\.|->|::))*([A-Za-z_]\w*)\s*\(")
 
@@ -445,6 +476,15 @@ def lint_text(path, text, unordered, status_fns, findings,
                         "float format '%s' in determinism-sensitive function "
                         "'%s' (persisted floats use %%.17g — the only format "
                         "that round-trips every double)" % (conv, stmt.fn)))
+            for precision in append_double_precisions(stmt.text):
+                if precision != "17" and not allowed(
+                        "float-format", stmt.line, line_allows, file_allows):
+                    findings.append(Finding(
+                        path, stmt.line, "float-format",
+                        "AppendDouble precision '%s' in determinism-sensitive "
+                        "function '%s' (persisted floats use the default "
+                        "precision 17 — the only one that round-trips every "
+                        "double)" % (precision, stmt.fn)))
         if not skip_unchecked_status and stmt.fn and stmt.text.endswith(";"):
             m = CALL_STMT_RE.match(stmt.text)
             if (m and m.group(1) in status_fns
@@ -705,6 +745,26 @@ def selftest():
     f = _fixture_findings(neg, failures)
     expect(not any(x.rule == "float-format" for x in f),
            "%.17g and non-sensitive %.3f pass", failures)
+    pos = dict(base)
+    pos["src/svc/snap.cc"] = (
+        "void SerializeTo(std::string* out) {\n"
+        "  AppendDouble(out, Clock(a, b), 9);\n"
+        "}\n")
+    f = _fixture_findings(pos, failures)
+    expect(any(x.rule == "float-format" and x.line == 2 for x in f),
+           "AppendDouble precision 9 in SerializeTo flagged", failures)
+    neg = dict(base)
+    neg["src/svc/snap.cc"] = (
+        "void SerializeTo(std::string* out) {\n"
+        "  AppendDouble(out, Clock(a, b));\n"
+        "  AppendDouble(out, c_, 17);\n"
+        "  AppendRecord(out, \"clock\", c_, n_);\n"
+        "}\n"
+        "std::string RenderLog() { AppendDouble(&out, t, 9); return out; }\n")
+    f = _fixture_findings(neg, failures)
+    expect(not any(x.rule == "float-format" for x in f),
+           "default/17 AppendDouble and non-sensitive precision 9 pass",
+           failures)
 
     print("selftest: unchecked-status")
     pos = dict(base)
