@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
+
 namespace ltc {
 namespace algo {
 
@@ -73,6 +75,25 @@ void Aam::OnAssigned(const model::Worker& worker, model::TaskId task) {
   remaining_sum_ -= remaining_[t] - new_remaining;
   remaining_[t] = new_remaining;
   max_tracker_->Update(task);
+}
+
+void Aam::OnRestored() {
+  for (std::size_t t = 0; t < remaining_.size(); ++t) {
+    remaining_[t] = arr().Remaining(static_cast<model::TaskId>(t));
+  }
+  max_tracker_ = std::make_unique<LazyMaxTracker>(&remaining_);
+}
+
+void Aam::SerializeExtras(std::string* out) const {
+  AppendRecord(out, "x aam", remaining_sum_);
+}
+
+Status Aam::RestoreExtra(const snap::Fields& fields) {
+  if (fields.size() != 2 || fields[0] != "aam" ||
+      !ParseDouble(fields[1], &remaining_sum_)) {
+    return Status::InvalidArgument("AAM: bad snapshot line");
+  }
+  return Status::OK();
 }
 
 }  // namespace algo

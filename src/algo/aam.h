@@ -61,6 +61,14 @@ class Aam : public OnlineSchedulerBase {
                    std::vector<model::TaskId>* out) override;
   void OnAssigned(const model::Worker& worker, model::TaskId task) override;
 
+  /// Snapshot: remaining_ and the max tracker rebuild from the restored
+  /// arrangement (OnRestored); the running sum cannot — it accumulated
+  /// every task ever seen, retired ones included, in stream order — so its
+  /// exact double rides along as "x aam <sum>".
+  void OnRestored() override;
+  void SerializeExtras(std::string* out) const override;
+  Status RestoreExtra(const snap::Fields& fields) override;
+
  private:
   AamOptions options_;
   // remaining_[t] = max(0, delta - S[t]), kept in sync by OnAssigned.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/snap_reader.h"
 #include "common/string_util.h"
 #include "model/quality.h"
 
@@ -126,13 +127,12 @@ Status McfStream::OnStreamEnd(std::vector<StreamCommit>* commits) {
   return FlushInternalBatch(commits);
 }
 
-Status McfStream::SerializeState(std::string* out) const {
+Status McfStream::SerializeState(
+    std::string* out, std::vector<model::WorkerIndex>* workers) const {
   if (!arrangement_.has_value()) {
     return Status::FailedPrecondition("SerializeState before InitStreaming");
   }
-  for (const model::Assignment& a : arrangement_->assignments()) {
-    AppendRecord(out, "a", a.worker, a.task, a.acc_star);
-  }
+  arrangement_->AppendLiveState(out, workers);
   // One line per buffered worker: "b <worker> [cand...]" in buffer order,
   // candidates exactly as gathered at admission.
   for (std::size_t p = 0; p < buf_worker_.size(); ++p) {
@@ -143,6 +143,7 @@ Status McfStream::SerializeState(std::string* out) const {
       AppendInt(out, buf_cand_[k]);
     }
     out->push_back('\n');
+    workers->push_back(buf_worker_[p]);
   }
   AppendRecord(out, "m", first_batch_ ? 1 : 0, batches_solved_);
   return Status::OK();
@@ -150,58 +151,43 @@ Status McfStream::SerializeState(std::string* out) const {
 
 Status McfStream::RestoreState(const model::ProblemInstance& instance,
                                const StreamShardContext& shard,
-                               const std::string& blob) {
+                               const std::vector<char>& task_open,
+                               std::string_view blob) {
   // Fresh solver, empty buffer, task_right_ all -1: the cold-restart
   // baseline the header documents.
   LTC_RETURN_IF_ERROR(InitStreamingSharded(instance, shard));
-  for (const std::string& raw : Split(blob, '\n')) {
-    const std::string line = Trim(raw);
-    if (line.empty()) continue;
-    const std::vector<std::string> f = Split(line, ' ');
-    if (f[0] == "a") {
+  snap::Reader reader(blob);
+  LTC_RETURN_IF_ERROR(
+      arrangement_->RestoreLiveState(instance, task_open, &reader));
+  snap::Fields f;
+  while (reader.Next(&f)) {
+    if (f[0] == "b") {
       std::int64_t w = 0;
-      std::int64_t t = 0;
-      double acc = 0.0;
-      if (f.size() != 4 || !ParseInt64(f[1], &w) || !ParseInt64(f[2], &t) ||
-          !ParseDouble(f[3], &acc)) {
-        return Status::InvalidArgument("snapshot: bad assignment line: " +
-                                       line);
-      }
-      if (w < 1 || w > static_cast<std::int64_t>(instance.workers.size()) ||
-          t < 0 || t >= arrangement_->num_tasks()) {
-        return Status::OutOfRange("snapshot: assignment out of range: " +
-                                  line);
-      }
-      arrangement_->Add(static_cast<model::WorkerIndex>(w),
-                        static_cast<model::TaskId>(t), acc);
-    } else if (f[0] == "b") {
-      std::int64_t w = 0;
-      if (f.size() < 2 || !ParseInt64(f[1], &w) || w < 1 ||
-          w > static_cast<std::int64_t>(instance.workers.size())) {
-        return Status::InvalidArgument("snapshot: bad buffer line: " + line);
+      LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &w));
+      if (w < 1 || w > instance.num_workers()) {
+        return Status::InvalidArgument("snapshot: bad buffer worker");
       }
       buf_worker_.push_back(static_cast<model::WorkerIndex>(w));
       for (std::size_t i = 2; i < f.size(); ++i) {
         std::int64_t t = 0;
-        if (!ParseInt64(f[i], &t) || t < 0 || t >= arrangement_->num_tasks()) {
-          return Status::InvalidArgument("snapshot: bad buffer candidate: " +
-                                         line);
+        LTC_RETURN_IF_ERROR(snap::FieldI64(f, i, &t));
+        if (t < 0 || t >= arrangement_->num_tasks()) {
+          return Status::InvalidArgument("snapshot: bad buffer candidate");
         }
         buf_cand_.push_back(static_cast<model::TaskId>(t));
       }
       buf_begin_.push_back(buf_cand_.size());
     } else if (f[0] == "m") {
       std::int64_t fb = 0;
-      std::int64_t solved = 0;
-      if (f.size() != 3 || !ParseInt64(f[1], &fb) ||
-          !ParseInt64(f[2], &solved)) {
-        return Status::InvalidArgument("snapshot: bad marker line: " + line);
+      if (f.size() != 3) {
+        return Status::InvalidArgument("snapshot: bad marker line");
       }
+      LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &fb));
+      LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &batches_solved_));
       first_batch_ = fb != 0;
-      batches_solved_ = solved;
     } else {
       return Status::InvalidArgument("snapshot: unknown scheduler line: " +
-                                     line);
+                                     std::string(f[0]));
     }
   }
   return Status::OK();

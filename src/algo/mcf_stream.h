@@ -68,20 +68,25 @@ class McfStream : public OnlineScheduler {
       std::vector<StreamCommit>* commits) override;
   Status OnStreamEnd(std::vector<StreamCommit>* commits) override;
 
-  /// Snapshot protocol (DESIGN.md §11). Serialized: the arrangement's Add
-  /// sequence, the open internal batch (workers with their flush-time
-  /// candidate sets), and the batch-phase flags. The IncrementalMcmf warm
-  /// state is deliberately NOT serialized — restore cold-starts a fresh
-  /// solver. This is sound because each flush refreshes every demand
-  /// absolutely from the arrangement and retires all supplies afterwards,
-  /// so a solve's commitments depend only on (arrangement, buffered batch);
-  /// the warm start is a pure speed-up whose warm-vs-cold assignment-log
-  /// identity the drift checks already enforce (DESIGN.md §10). The first
-  /// post-restore flush simply pays one cold solve.
-  Status SerializeState(std::string* out) const override;
+  /// Snapshot protocol (DESIGN.md §11). Serialized: the arrangement's
+  /// live part (model::Arrangement::AppendLiveState), the open internal
+  /// batch (workers with their flush-time candidate sets), and the
+  /// batch-phase flags. The IncrementalMcmf warm state is deliberately NOT
+  /// serialized — restore cold-starts a fresh solver. This is sound
+  /// because each flush refreshes every demand absolutely from the
+  /// arrangement and retires all supplies afterwards, so a solve's
+  /// commitments depend only on (arrangement, buffered batch); the warm
+  /// start is a pure speed-up whose warm-vs-cold assignment-log identity
+  /// the drift checks already enforce (DESIGN.md §10). Retired tasks are
+  /// completed, so a flush skips them exactly as it skips closed ones. The
+  /// first post-restore flush simply pays one cold solve.
+  Status SerializeState(std::string* out,
+                        std::vector<model::WorkerIndex>* workers)
+      const override;
   Status RestoreState(const model::ProblemInstance& instance,
                       const StreamShardContext& shard,
-                      const std::string& blob) override;
+                      const std::vector<char>& task_open,
+                      std::string_view blob) override;
 
   bool Done() const override {
     return arrangement_.has_value() && arrangement_->AllCompleted();

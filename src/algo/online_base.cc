@@ -1,6 +1,6 @@
 #include "algo/online_base.h"
 
-#include "common/string_util.h"
+#include "common/snap_reader.h"
 
 namespace ltc {
 namespace algo {
@@ -84,52 +84,32 @@ Status OnlineSchedulerBase::OnArrivalWithCandidates(
                          assigned);
 }
 
-Status OnlineSchedulerBase::SerializeState(std::string* out) const {
+Status OnlineSchedulerBase::SerializeState(
+    std::string* out, std::vector<model::WorkerIndex>* workers) const {
   if (!arrangement_.has_value()) {
     return Status::FailedPrecondition("SerializeState before InitStreaming");
   }
-  for (const model::Assignment& a : arrangement_->assignments()) {
-    AppendRecord(out, "a", a.worker, a.task, a.acc_star);
-  }
+  arrangement_->AppendLiveState(out, workers);
   SerializeExtras(out);
   return Status::OK();
 }
 
 Status OnlineSchedulerBase::RestoreState(
     const model::ProblemInstance& instance, const StreamShardContext& shard,
-    const std::string& blob) {
+    const std::vector<char>& task_open, std::string_view blob) {
   LTC_RETURN_IF_ERROR(InitStreamingSharded(instance, shard));
-  for (const std::string& raw : Split(blob, '\n')) {
-    const std::string line = Trim(raw);
-    if (line.empty()) continue;
-    if (StartsWith(line, "a ")) {
-      const std::vector<std::string> f = Split(line, ' ');
-      std::int64_t w = 0;
-      std::int64_t t = 0;
-      double acc = 0.0;
-      if (f.size() != 4 || !ParseInt64(f[1], &w) || !ParseInt64(f[2], &t) ||
-          !ParseDouble(f[3], &acc)) {
-        return Status::InvalidArgument("snapshot: bad assignment line: " +
-                                       line);
-      }
-      if (w < 1 || w > static_cast<std::int64_t>(instance.workers.size())) {
-        return Status::OutOfRange("snapshot: worker index out of range: " +
-                                  line);
-      }
-      if (t < 0 || t >= arrangement_->num_tasks()) {
-        return Status::OutOfRange("snapshot: task id out of range: " + line);
-      }
-      const model::Worker& worker =
-          instance.workers[static_cast<std::size_t>(w) - 1];
-      arrangement_->Add(static_cast<model::WorkerIndex>(w),
-                        static_cast<model::TaskId>(t), acc);
-      OnAssigned(worker, static_cast<model::TaskId>(t));
-    } else if (StartsWith(line, "x ")) {
-      LTC_RETURN_IF_ERROR(RestoreExtra(line.substr(2)));
-    } else {
+  snap::Reader reader(blob);
+  LTC_RETURN_IF_ERROR(
+      arrangement_->RestoreLiveState(instance, task_open, &reader));
+  OnRestored();
+  snap::Fields f;
+  while (reader.Next(&f)) {
+    if (f[0] != "x" || f.size() < 2) {
       return Status::InvalidArgument("snapshot: unknown scheduler line: " +
-                                     line);
+                                     std::string(f[0]));
     }
+    f.erase(f.begin());
+    LTC_RETURN_IF_ERROR(RestoreExtra(f));
   }
   return Status::OK();
 }

@@ -6,9 +6,12 @@
 #define LTC_ALGO_ONLINE_BASE_H_
 
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "algo/scheduler.h"
+#include "common/snap_reader.h"
 
 namespace ltc {
 namespace algo {
@@ -38,14 +41,18 @@ class OnlineSchedulerBase : public OnlineScheduler {
                                  std::vector<model::TaskId>* assigned) override;
 
   /// Snapshot protocol (DESIGN.md §11): the generic serialization is the
-  /// arrangement's Add sequence ("a" lines), which RestoreState replays
-  /// through Add() + OnAssigned() so per-task aggregates (AAM) rebuild
-  /// themselves; schedulers with state that replay cannot rebuild (Random's
-  /// generator) add "x <payload>" lines via the extras hooks.
-  Status SerializeState(std::string* out) const override;
+  /// arrangement's live part (model::Arrangement::AppendLiveState), which
+  /// RestoreState replays before OnRestored() lets subclasses rebuild
+  /// their per-task aggregates (AAM). State that the arrangement cannot
+  /// rebuild (Random's generator, AAM's running sum) rides in
+  /// "x <payload>" lines via the extras hooks.
+  Status SerializeState(std::string* out,
+                        std::vector<model::WorkerIndex>* workers)
+      const override;
   Status RestoreState(const model::ProblemInstance& instance,
                       const StreamShardContext& shard,
-                      const std::string& blob) override;
+                      const std::vector<char>& task_open,
+                      std::string_view blob) override;
 
   bool Done() const override { return arrangement_->AllCompleted(); }
 
@@ -89,13 +96,19 @@ class OnlineSchedulerBase : public OnlineScheduler {
   /// generic arrangement lines. Default: no extra state.
   virtual void SerializeExtras(std::string* out) const { (void)out; }
 
-  /// Applies one scheduler-specific snapshot payload (the text after
-  /// "x "). Extras are applied after the arrangement replay, in emission
-  /// order. Default: schedulers without extras reject any payload.
-  virtual Status RestoreExtra(const std::string& payload) {
-    return Status::InvalidArgument(Name() +
-                                   ": unknown snapshot payload: " + payload);
+  /// Applies one scheduler-specific snapshot record: `fields` are the
+  /// fields after "x". Extras are applied after the arrangement replay and
+  /// OnRestored(), in emission order. Default: schedulers without extras
+  /// reject any payload.
+  virtual Status RestoreExtra(const snap::Fields& fields) {
+    return Status::InvalidArgument(
+        Name() + ": unknown snapshot payload: " +
+        std::string(fields.empty() ? std::string_view() : fields[0]));
   }
+
+  /// Hook invoked by RestoreState once the arrangement holds the restored
+  /// live state (retired placeholders included), before any extra applies.
+  virtual void OnRestored() {}
 
   const model::ProblemInstance& instance() const { return *instance_; }
   const model::EligibilityIndex& index() const { return *index_; }

@@ -1,7 +1,7 @@
 #include "algo/random_assign.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 
 #include "common/string_util.h"
 
@@ -12,14 +12,10 @@ namespace {
 
 /// Full-string unsigned 64-bit parse (ParseInt64 would reject the upper
 /// half of the xoshiro word range).
-bool ParseU64(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<std::uint64_t>(v);
-  return true;
+bool ParseU64(std::string_view s, std::uint64_t* out) {
+  const char* end = s.data() + s.size();
+  const std::from_chars_result r = std::from_chars(s.data(), end, *out);
+  return !s.empty() && r.ec == std::errc() && r.ptr == end;
 }
 
 }  // namespace
@@ -49,16 +45,14 @@ void RandomAssign::SerializeExtras(std::string* out) const {
                s.has_cached_gaussian ? 1 : 0);
 }
 
-Status RandomAssign::RestoreExtra(const std::string& payload) {
-  const std::vector<std::string> f = Split(payload, ' ');
+Status RandomAssign::RestoreExtra(const snap::Fields& f) {
   Rng::State s{};
   std::int64_t has = 0;
   if (f.size() != 7 || f[0] != "rng" || !ParseU64(f[1], &s.s[0]) ||
       !ParseU64(f[2], &s.s[1]) || !ParseU64(f[3], &s.s[2]) ||
       !ParseU64(f[4], &s.s[3]) || !ParseDouble(f[5], &s.cached_gaussian) ||
       !ParseInt64(f[6], &has)) {
-    return Status::InvalidArgument("Random: bad rng snapshot line: " +
-                                   payload);
+    return Status::InvalidArgument("Random: bad rng snapshot line");
   }
   s.has_cached_gaussian = has != 0;
   rng_.RestoreState(s);

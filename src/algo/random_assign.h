@@ -49,7 +49,7 @@ class RandomAssign : public OnlineSchedulerBase {
   /// is not derivable from the arrangement (small candidate sets skip the
   /// generator entirely), so the xoshiro words are saved verbatim.
   void SerializeExtras(std::string* out) const override;
-  Status RestoreExtra(const std::string& payload) override;
+  Status RestoreExtra(const snap::Fields& fields) override;
 
  private:
   std::uint64_t seed_;

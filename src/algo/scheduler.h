@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -231,37 +232,48 @@ class OnlineScheduler {
   // --- Snapshot protocol (svc crash recovery; DESIGN.md §11) ---
   //
   // A crash-recoverable service periodically snapshots each pipeline; the
-  // scheduler contributes a line-oriented text blob capturing every bit of
-  // streaming-mode mutable state that is not derivable from the instance
-  // prefix alone. The contract: restoring a snapshot and continuing the
-  // stream must produce exactly the commitments the uninterrupted scheduler
-  // would have produced — svc_recovery_test pins this per scheduler.
+  // scheduler contributes a line-oriented text blob capturing its *live*
+  // streaming-mode state — what a later commitment can still depend on.
+  // History the WAL already holds stays out: tasks that reached delta
+  // restore as retired placeholders (model::Arrangement::Retire), and
+  // their assignments are not serialized. The contract: restoring a
+  // snapshot and continuing the stream must produce exactly the
+  // commitments the uninterrupted scheduler would have produced —
+  // svc_recovery_test pins this per scheduler.
   //
   // Line vocabulary (one record per '\n'-terminated line):
-  //   "a <worker> <task> <acc_star>"  — one arrangement Add, in commit
-  //       order. acc_star is recorded (%.17g), not recomputed on restore:
-  //       a task may have moved since the assignment was made.
+  //   "arr ..." + "a <worker> <task> <acc_star>" — the arrangement's live
+  //       part (model::Arrangement::AppendLiveState).
   //   anything else                   — scheduler-specific (see subclasses).
 
-  /// Appends this scheduler's streaming state to *out. Only meaningful
-  /// after InitStreaming; implementations must emit every line their own
-  /// RestoreState needs.
-  virtual Status SerializeState(std::string* out) const {
+  /// Appends this scheduler's live streaming state to *out, and to
+  /// *workers the local index of every worker that state references (the
+  /// pipeline keeps those workers' records in its snapshot; the others
+  /// restore as placeholders). Only meaningful after InitStreaming;
+  /// implementations must emit every line their own RestoreState needs.
+  virtual Status SerializeState(std::string* out,
+                                std::vector<model::WorkerIndex>* workers)
+      const {
     (void)out;
+    (void)workers;
     return Status::NotImplemented(Name() + " does not support snapshots");
   }
 
   /// Counterpart of SerializeState: re-initialises this scheduler for a
   /// streaming run over `instance` — which the caller has already re-grown
-  /// to the snapshot's task/worker prefix — with shard identity `shard`,
-  /// then applies `blob`. After RestoreState the scheduler is
-  /// indistinguishable (commitment for commitment) from one that lived
+  /// to the snapshot's task/worker id space, with placeholders for closed
+  /// tasks and unreferenced workers — with shard identity `shard`, then
+  /// applies `blob`. task_open[t] is nonzero for the tasks still below
+  /// delta; the others restore retired. After RestoreState the scheduler
+  /// is indistinguishable (commitment for commitment) from one that lived
   /// through the whole prefix.
   virtual Status RestoreState(const model::ProblemInstance& instance,
                               const StreamShardContext& shard,
-                              const std::string& blob) {
+                              const std::vector<char>& task_open,
+                              std::string_view blob) {
     (void)instance;
     (void)shard;
+    (void)task_open;
     (void)blob;
     return Status::NotImplemented(Name() + " does not support snapshots");
   }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/snap_reader.h"
 #include "common/string_util.h"
 
 namespace ltc {
@@ -90,22 +91,15 @@ Status CellRateEstimator::SerializeTo(std::string* out) const {
   return Status::OK();
 }
 
-Status CellRateEstimator::RestoreFrom(const std::string& blob) {
-  const std::vector<std::string> lines = Split(blob, '\n');
-  std::size_t pos = 0;
-  auto next = [&]() -> std::string {
-    while (pos < lines.size() && Trim(lines[pos]).empty()) ++pos;
-    if (pos >= lines.size()) return "";
-    return Trim(lines[pos++]);
-  };
-
-  std::vector<std::string> f = Split(next(), ' ');
-  if (f.size() != 5 || f[0] != "fcst") {
-    return Status::InvalidArgument("forecast blob: bad header");
-  }
+Status CellRateEstimator::RestoreFrom(std::string_view blob) {
+  snap::Reader reader(blob);
+  snap::Fields f;
   std::int64_t n_cells = 0;
   double horizon = 0.0;
   std::int64_t n_touched = 0;
+  if (!reader.Read("fcst", 5, &f).ok() || f.size() != 5) {
+    return Status::InvalidArgument("forecast blob: bad header");
+  }
   if (!ParseInt64(f[1], &n_cells) || !ParseDouble(f[2], &horizon) ||
       !ParseInt64(f[3], &events_) || !ParseInt64(f[4], &n_touched)) {
     return Status::InvalidArgument("forecast blob: unparseable header");
@@ -117,8 +111,7 @@ Status CellRateEstimator::RestoreFrom(const std::string& blob) {
   }
   for (Cell& cell : cells_) cell = Cell{};
   for (std::int64_t i = 0; i < n_touched; ++i) {
-    f = Split(next(), ' ');
-    if (f.size() != 5 || f[0] != "fc") {
+    if (!reader.Read("fc", 5, &f).ok() || f.size() != 5) {
       return Status::InvalidArgument("forecast blob: bad cell record");
     }
     std::int64_t c = 0;
@@ -134,7 +127,7 @@ Status CellRateEstimator::RestoreFrom(const std::string& blob) {
     cell.touched = true;
     cells_[static_cast<std::size_t>(c)] = cell;
   }
-  if (next() != "endfcst") {
+  if (!reader.Read("endfcst", 1, &f).ok() || !reader.AtEnd()) {
     return Status::InvalidArgument("forecast blob: missing endfcst trailer");
   }
   return Status::OK();

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -115,7 +116,7 @@ class CellRateEstimator final : public ArrivalForecast {
 
   /// Counterpart of SerializeTo: rebuilds from `blob` (the lines between
   /// and including "fcst".."endfcst"). The config must match the writer's.
-  Status RestoreFrom(const std::string& blob);
+  Status RestoreFrom(std::string_view blob);
 
  private:
   struct Cell {

@@ -1,5 +1,7 @@
 #include "io/event_log.h"
 
+#include <algorithm>
+#include <fstream>
 #include <limits>
 
 #include "common/string_util.h"
@@ -11,6 +13,9 @@ namespace io {
 namespace {
 
 constexpr char kHeader[] = "# ltc-events v1";
+
+/// The shortest event record: "t 0 0 0\n".
+constexpr std::size_t kMinEventRecordBytes = 8;
 
 }  // namespace
 
@@ -159,6 +164,78 @@ StatusOr<Event> ParseEventRecord(std::string_view line) {
                                  "'");
 }
 
+namespace {
+
+/// Applies one header record of line `line_no` — epsilon, capacity,
+/// acc_min, accuracy, or the "events N" count, which lands in
+/// *expected_events — to *log.
+Status ParseHeaderRecord(std::string_view line, std::size_t line_no,
+                         EventLog* log, std::int64_t* expected_events) {
+  std::string_view fields[4];
+  std::size_t n = 0;
+  for (std::size_t start = 0; n < 4;) {
+    const std::size_t space = line.find(' ', start);
+    fields[n++] = line.substr(start, space - start);
+    if (space == std::string_view::npos) break;
+    start = space + 1;
+  }
+  const std::string_view key = fields[0];
+  auto need = [&](std::size_t want) -> Status {
+    if (n != want) {
+      return Status::InvalidArgument(
+          StrFormat("line %zu: expected %zu fields, got %zu%s", line_no, want,
+                    n, n == 4 ? "+" : ""));
+    }
+    return Status::OK();
+  };
+  if (key == "epsilon") {
+    LTC_RETURN_IF_ERROR(need(2));
+    if (!ParseDouble(fields[1], &log->epsilon)) {
+      return Status::InvalidArgument("bad epsilon");
+    }
+  } else if (key == "capacity") {
+    LTC_RETURN_IF_ERROR(need(2));
+    std::int64_t v;
+    if (!ParseInt64(fields[1], &v)) {
+      return Status::InvalidArgument("bad capacity");
+    }
+    log->capacity = static_cast<std::int32_t>(v);
+  } else if (key == "acc_min") {
+    LTC_RETURN_IF_ERROR(need(2));
+    if (!ParseDouble(fields[1], &log->acc_min)) {
+      return Status::InvalidArgument("bad acc_min");
+    }
+  } else if (key == "accuracy") {
+    LTC_RETURN_IF_ERROR(need(3));
+    double param;
+    if (!ParseDouble(fields[2], &param)) {
+      return Status::InvalidArgument("bad accuracy parameter");
+    }
+    LTC_ASSIGN_OR_RETURN(log->accuracy,
+                         MakeAccuracy(std::string(fields[1]), param));
+  } else if (key == "events") {
+    LTC_RETURN_IF_ERROR(need(2));
+    if (!ParseInt64(fields[1], expected_events)) {
+      return Status::InvalidArgument("bad event count");
+    }
+    if (*expected_events < 0) {
+      return Status::InvalidArgument(StrFormat(
+          "line %zu: negative event count %lld", line_no,
+          static_cast<long long>(*expected_events)));
+    }
+  } else {
+    return Status::InvalidArgument("unknown record '" + std::string(key) +
+                                   "'");
+  }
+  return Status::OK();
+}
+
+bool IsEventKey(std::string_view key) {
+  return key == "t" || key == "w" || key == "m";
+}
+
+}  // namespace
+
 StatusOr<EventLog> ParseEventLog(const std::string& text) {
   // Lines are views into `text`, split on '\n'; CRLF-terminated files are
   // tolerated because every line is trimmed (which strips the dangling
@@ -190,7 +267,7 @@ StatusOr<EventLog> ParseEventLog(const std::string& text) {
     const std::string_view line = TrimView(all.substr(start, end - start));
     if (line.empty()) continue;
     const std::string_view key = line.substr(0, line.find(' '));
-    if (key == "t" || key == "w" || key == "m") {
+    if (IsEventKey(key)) {
       auto event = ParseEventRecord(line);
       if (!event.ok()) {
         return event.status().WithContext(StrFormat("line %zu", i + 1));
@@ -198,48 +275,17 @@ StatusOr<EventLog> ParseEventLog(const std::string& text) {
       log.events.push_back(event.value());
       continue;
     }
-    const auto fields = Split(std::string(line), ' ');
-    auto need = [&](std::size_t n) -> Status {
-      if (fields.size() != n) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: expected %zu fields, got %zu", i + 1, n,
-                      fields.size()));
-      }
-      return Status::OK();
-    };
-    if (key == "epsilon") {
-      LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseDouble(fields[1], &log.epsilon)) {
-        return Status::InvalidArgument("bad epsilon");
-      }
-    } else if (key == "capacity") {
-      LTC_RETURN_IF_ERROR(need(2));
-      std::int64_t v;
-      if (!ParseInt64(fields[1], &v)) {
-        return Status::InvalidArgument("bad capacity");
-      }
-      log.capacity = static_cast<std::int32_t>(v);
-    } else if (key == "acc_min") {
-      LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseDouble(fields[1], &log.acc_min)) {
-        return Status::InvalidArgument("bad acc_min");
-      }
-    } else if (key == "accuracy") {
-      LTC_RETURN_IF_ERROR(need(3));
-      double param;
-      if (!ParseDouble(fields[2], &param)) {
-        return Status::InvalidArgument("bad accuracy parameter");
-      }
-      LTC_ASSIGN_OR_RETURN(log.accuracy, MakeAccuracy(fields[1], param));
-    } else if (key == "events") {
-      LTC_RETURN_IF_ERROR(need(2));
-      if (!ParseInt64(fields[1], &expected_events)) {
-        return Status::InvalidArgument("bad event count");
-      }
-      log.events.reserve(static_cast<std::size_t>(expected_events));
-    } else {
-      return Status::InvalidArgument("unknown record '" + std::string(key) +
-                                     "'");
+    LTC_RETURN_IF_ERROR(
+        ParseHeaderRecord(line, i + 1, &log, &expected_events));
+    if (key == "events" && end != std::string_view::npos) {
+      // The count sizes the event vector, but never beyond what the rest
+      // of the input could hold — an event record takes at least
+      // kMinEventRecordBytes — so a damaged count cannot allocate more
+      // than the input's own size, and needs no second pass to check.
+      const auto records_left = static_cast<std::int64_t>(
+          (all.size() - end) / kMinEventRecordBytes);
+      log.events.reserve(static_cast<std::size_t>(
+          std::min(expected_events, records_left)));
     }
   }
   if (expected_events >= 0 && expected_events != log.num_events()) {
@@ -262,6 +308,34 @@ StatusOr<EventLog> LoadEventLog(const std::string& path) {
   auto parsed = ParseEventLog(text);
   if (!parsed.ok()) return parsed.status().WithContext("loading " + path);
   return parsed;
+}
+
+StatusOr<EventLog> LoadEventLogHeader(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open " + path);
+  auto fail = [&path](const Status& status) {
+    return status.WithContext("loading the header of " + path);
+  };
+  std::string raw;
+  if (!std::getline(in, raw) || TrimView(raw) != kHeader) {
+    return fail(Status::InvalidArgument("missing ltc-events v1 header"));
+  }
+  EventLog log;
+  std::int64_t expected_events = -1;
+  // The header ends at the "events N" count, or — in a header-only file
+  // such as a WAL — at the first event record; the body is never read.
+  for (std::size_t i = 2; std::getline(in, raw); ++i) {
+    const std::string_view line = TrimView(raw);
+    if (line.empty()) continue;
+    const std::string_view key = line.substr(0, line.find(' '));
+    if (IsEventKey(key)) break;
+    const Status status = ParseHeaderRecord(line, i, &log, &expected_events);
+    if (!status.ok()) return fail(status);
+    if (key == "events") break;
+  }
+  const Status valid = log.Validate();
+  if (!valid.ok()) return fail(valid);
+  return log;
 }
 
 StatusOr<EventLog> EventLogFromInstance(const model::ProblemInstance& instance,

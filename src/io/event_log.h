@@ -107,6 +107,12 @@ Status SaveEventLog(const EventLog& log, const std::string& path);
 /// Reads a file saved with SaveEventLog.
 StatusOr<EventLog> LoadEventLog(const std::string& path);
 
+/// Reads only the header of an ltc-events file: the instance parameters up
+/// to the "events N" record (or the first event record, in a header-only
+/// file such as a WAL), validated, with an empty events vector. The body
+/// is never read, so it may be arbitrarily large — or malformed.
+StatusOr<EventLog> LoadEventLogHeader(const std::string& path);
+
 /// Converts a batch instance into an equivalent arrival stream: every task
 /// arrives at time 0 (the paper's closed-world assumption) and worker i
 /// arrives at time i * worker_spacing, preserving stream order. With

@@ -12,7 +12,8 @@ namespace model {
 Arrangement::Arrangement(std::int64_t num_tasks, double delta)
     : num_tasks_(num_tasks),
       delta_(delta),
-      accumulated_(static_cast<std::size_t>(num_tasks), 0.0) {
+      accumulated_(static_cast<std::size_t>(num_tasks), 0.0),
+      retired_(static_cast<std::size_t>(num_tasks), 0) {
   if (delta_ <= kQualityTol) completed_tasks_ = num_tasks_;
 }
 
@@ -24,21 +25,83 @@ void Arrangement::Add(WorkerIndex worker, TaskId task, double acc_star) {
     ++completed_tasks_;
   }
   assignments_.push_back(Assignment{worker, task, acc_star});
+  total_acc_star_ += acc_star;
   if (static_cast<std::size_t>(worker) >= load_.size()) {
     load_.resize(static_cast<std::size_t>(worker) + 1, 0);
   }
-  ++load_[static_cast<std::size_t>(worker)];
+  if (load_[static_cast<std::size_t>(worker)]++ == 0) ++workers_used_;
   max_worker_index_ = std::max(max_worker_index_, worker);
 }
 
 TaskId Arrangement::AddTask() {
   const auto id = static_cast<TaskId>(num_tasks_);
   accumulated_.push_back(0.0);
+  retired_.push_back(0);
   ++num_tasks_;
   // Mirror the constructor's degenerate-delta handling: a task whose target
   // is already met counts as completed from the start.
   if (delta_ <= kQualityTol) ++completed_tasks_;
   return id;
+}
+
+void Arrangement::Retire(TaskId t) {
+  const auto i = static_cast<std::size_t>(t);
+  if (!ReachedDelta(accumulated_[i], delta_)) ++completed_tasks_;
+  accumulated_[i] = delta_;
+  retired_[i] = 1;
+}
+
+void Arrangement::AppendLiveState(std::string* out,
+                                  std::vector<WorkerIndex>* workers) const {
+  std::int64_t live = 0;
+  for (const Assignment& a : assignments_) {
+    if (!TaskCompleted(a.task)) ++live;
+  }
+  AppendRecord(out, "arr", live, workers_used_, total_acc_star_);
+  for (const Assignment& a : assignments_) {
+    if (TaskCompleted(a.task)) continue;
+    AppendRecord(out, "a", a.worker, a.task, a.acc_star);
+    workers->push_back(a.worker);
+  }
+}
+
+Status Arrangement::RestoreLiveState(const ProblemInstance& instance,
+                                     const std::vector<char>& task_open,
+                                     snap::Reader* reader) {
+  if (static_cast<std::int64_t>(task_open.size()) != num_tasks_ ||
+      !assignments_.empty()) {
+    return Status::Internal("snapshot: arrangement restore precondition");
+  }
+  for (std::size_t t = 0; t < task_open.size(); ++t) {
+    if (!task_open[t]) Retire(static_cast<TaskId>(t));
+  }
+  snap::Fields f;
+  std::int64_t n = 0;
+  std::int64_t workers_used = 0;
+  double total_acc_star = 0.0;
+  LTC_RETURN_IF_ERROR(reader->ReadCount("arr", &n, 4, &f));
+  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &workers_used));
+  LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &total_acc_star));
+  assignments_.reserve(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::int64_t w = 0;
+    std::int64_t t = 0;
+    double acc = 0.0;
+    LTC_RETURN_IF_ERROR(reader->Read("a", 4, &f));
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &w));
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &t));
+    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &acc));
+    if (w < 1 || w > instance.num_workers() || t < 0 || t >= num_tasks_ ||
+        retired_[static_cast<std::size_t>(t)]) {
+      return Status::OutOfRange(StrFormat(
+          "snapshot: assignment (worker %lld, task %lld) out of range",
+          static_cast<long long>(w), static_cast<long long>(t)));
+    }
+    Add(static_cast<WorkerIndex>(w), static_cast<TaskId>(t), acc);
+  }
+  workers_used_ = workers_used;
+  total_acc_star_ = total_acc_star;
+  return Status::OK();
 }
 
 double Arrangement::Remaining(TaskId t) const {
@@ -73,6 +136,10 @@ Status ValidateArrangement(const ProblemInstance& instance,
           StrFormat("assignment references task %d outside 0..%lld", a.task,
                     static_cast<long long>(instance.num_tasks() - 1)));
     }
+    if (arrangement.retired(a.task)) {
+      return Status::FailedPrecondition(
+          StrFormat("retired task %d was assigned again", a.task));
+    }
     if (!seen.insert({a.worker, a.task}).second) {
       return Status::FailedPrecondition(
           StrFormat("duplicate assignment (worker %d, task %d)", a.worker,
@@ -98,6 +165,7 @@ Status ValidateArrangement(const ProblemInstance& instance,
   }
 
   for (std::size_t t = 0; t < recomputed.size(); ++t) {
+    if (arrangement.retired(static_cast<TaskId>(t))) continue;
     if (!AlmostEqual(recomputed[t], arrangement.accumulated()[t], 1e-6)) {
       return Status::Internal(
           StrFormat("task %zu accumulator drifted: recomputed %.9f vs "

@@ -6,8 +6,10 @@
 #define LTC_MODEL_ARRANGEMENT_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/snap_reader.h"
 #include "common/status.h"
 #include "model/problem.h"
 #include "model/task.h"
@@ -43,6 +45,16 @@ class Arrangement {
   /// arrival events come in. Returns the new task's id.
   TaskId AddTask();
 
+  /// Turns task `t` (not yet assigned) into a retired placeholder: a task
+  /// that reached delta before a snapshot, whose assignments the snapshot
+  /// no longer carries (DESIGN.md §11). It counts as completed, has
+  /// Remaining 0, and must never be assigned again; validation skips its
+  /// quality sum.
+  void Retire(TaskId t);
+  bool retired(TaskId t) const {
+    return retired_[static_cast<std::size_t>(t)] != 0;
+  }
+
   /// Accumulated Acc* of a task (S[t] in the paper's pseudocode).
   double accumulated(TaskId t) const {
     return accumulated_[static_cast<std::size_t>(t)];
@@ -70,6 +82,30 @@ class Arrangement {
   WorkerIndex MaxWorkerIndex() const { return max_worker_index_; }
 
   const std::vector<Assignment>& assignments() const { return assignments_; }
+
+  /// Running totals over every assignment ever added, retired ones
+  /// included: distinct workers with at least one assignment, and the sum
+  /// of Acc* accumulated in Add order (the order a loop over assignments()
+  /// sums in, so the double is bit-identical to that loop's).
+  std::int64_t workers_used() const { return workers_used_; }
+  double total_acc_star() const { return total_acc_star_; }
+
+  /// Snapshot form of the arrangement's live part (DESIGN.md §11):
+  /// "arr <n> <workers_used> <total_acc_star>", then n records
+  /// "a <worker> <task> <acc_star>" — the assignments of tasks still below
+  /// delta, in Add order. acc_star is recorded, not recomputed on restore:
+  /// a task may have moved since the assignment was made. Appends the
+  /// worker of every record to *workers. Assignments of completed tasks
+  /// are history the snapshot does not keep.
+  void AppendLiveState(std::string* out,
+                       std::vector<WorkerIndex>* workers) const;
+
+  /// Counterpart of AppendLiveState, on a fresh arrangement over
+  /// `instance`'s tasks: retires every task `task_open` marks closed,
+  /// replays the live records read from *reader, and restores the totals.
+  Status RestoreLiveState(const ProblemInstance& instance,
+                          const std::vector<char>& task_open,
+                          snap::Reader* reader);
   std::int64_t size() const {
     return static_cast<std::int64_t>(assignments_.size());
   }
@@ -78,10 +114,13 @@ class Arrangement {
   std::int64_t num_tasks_;
   double delta_;
   std::vector<double> accumulated_;
+  std::vector<char> retired_;  // by task id
   std::vector<Assignment> assignments_;
   std::vector<std::int32_t> load_;  // indexed by worker index (1-based)
   std::int64_t completed_tasks_ = 0;
   WorkerIndex max_worker_index_ = 0;
+  std::int64_t workers_used_ = 0;
+  double total_acc_star_ = 0.0;
 };
 
 /// \brief Checks every LTC constraint of `arrangement` against `instance`:
@@ -92,6 +131,9 @@ class Arrangement {
 ///  * eligibility: every assigned pair has Acc >= acc_min;
 ///  * recorded Acc* values match the instance's accuracy model;
 ///  * if `require_completion`, every task's recomputed ΣAcc* reaches delta.
+///
+/// Retired tasks (Arrangement::Retire) carry no assignments to recompute
+/// from; they are checked only for staying unassigned.
 ///
 /// Returns OK or the first violation found.
 Status ValidateArrangement(const ProblemInstance& instance,

@@ -436,12 +436,11 @@ int RunSocketServer(const StreamOptions& options,
                     const SocketServeFn& socket_serve) {
   io::EventLog header;
   if (!FLAG_header_from.Get().empty()) {
-    auto loaded = io::LoadEventLog(FLAG_header_from.Get());
+    auto loaded = io::LoadEventLogHeader(FLAG_header_from.Get());
     if (!loaded.ok()) {
       return FailConfig(loaded.status().WithContext("--header_from"));
     }
     header = std::move(loaded).value();
-    header.events.clear();
   } else {
     // The Table-IV synthetic defaults (gen/stream.h).
     header.epsilon = 0.1;

@@ -98,10 +98,14 @@ Status ShardedStreamEngine::SerializeTo(std::string* out) const {
                metrics_.worker_events, metrics_.move_events,
                metrics_.boundary_workers, metrics_.handoff_skips);
 
-  AppendRecord(out, "tasks", task_route_.size());
+  // Open tasks only: a closed task's route is never read again (moves of
+  // closed tasks are not forwarded), so the id space keeps just its size.
+  std::int64_t n_open = 0;
+  for (const char o : task_open_) n_open += o != 0 ? 1 : 0;
+  AppendRecord(out, "tasks", n_open, task_route_.size());
   for (std::size_t t = 0; t < task_route_.size(); ++t) {
-    AppendRecord(out, "r", task_route_[t].shard, task_route_[t].local,
-                 task_open_[t] ? 1 : 0);
+    if (!task_open_[t]) continue;
+    AppendRecord(out, "r", t, task_route_[t].shard, task_route_[t].local);
   }
 
   // Hash-map state in sorted key order: snapshot bytes must not depend on
@@ -120,7 +124,8 @@ Status ShardedStreamEngine::SerializeTo(std::string* out) const {
   }
 
   // The merged assignment log: a restarted server re-renders the *complete*
-  // log, so the prefix committed before the snapshot rides along.
+  // log from this state alone, so the prefix committed before the snapshot
+  // rides along.
   AppendRecord(out, "log", assignments_.size());
   for (const StreamAssignment& a : assignments_) {
     AppendRecord(out, "A", a.time, a.worker, a.task);
@@ -152,7 +157,7 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
   LTC_RETURN_IF_ERROR(engine->InitCommon(header, options, &cell));
 
   snap::Reader reader(engine_state);
-  std::vector<std::string> f;
+  snap::Fields f;
 
   LTC_RETURN_IF_ERROR(reader.Read("shards", 2, &f));
   std::int64_t shards = 0;
@@ -174,24 +179,33 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
       snap::FieldI64(f, 5, &engine->metrics_.boundary_workers));
   LTC_RETURN_IF_ERROR(snap::FieldI64(f, 6, &engine->metrics_.handoff_skips));
 
+  std::int64_t n_open = 0;
   std::int64_t nt = 0;
-  LTC_RETURN_IF_ERROR(reader.ReadCount("tasks", &nt));
-  engine->task_route_.reserve(static_cast<std::size_t>(nt));
-  engine->task_open_.reserve(static_cast<std::size_t>(nt));
-  for (std::int64_t t = 0; t < nt; ++t) {
+  LTC_RETURN_IF_ERROR(reader.ReadCount("tasks", &n_open, 3, &f));
+  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &nt));
+  if (nt != engine->metrics_.task_events || nt < n_open) {
+    return Status::OutOfRange(
+        "snapshot: task id space disagrees with the task event count");
+  }
+  engine->task_route_.assign(static_cast<std::size_t>(nt), TaskRoute{});
+  engine->task_open_.assign(static_cast<std::size_t>(nt), 0);
+  std::int64_t prev = -1;
+  for (std::int64_t i = 0; i < n_open; ++i) {
     LTC_RETURN_IF_ERROR(reader.Read("r", 4, &f));
+    std::int64_t task = 0;
     std::int64_t shard = 0;
     std::int64_t local = 0;
-    std::int64_t open = 0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &shard));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &local));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &open));
-    if (shard < 0 || shard >= options.shards || local < 0) {
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &task));
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &shard));
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &local));
+    if (task <= prev || task >= nt || shard < 0 ||
+        shard >= options.shards || local < 0) {
       return Status::OutOfRange("snapshot: task route out of range");
     }
-    engine->task_route_.push_back(TaskRoute{
-        static_cast<int>(shard), static_cast<model::TaskId>(local)});
-    engine->task_open_.push_back(open != 0 ? 1 : 0);
+    prev = task;
+    engine->task_route_[static_cast<std::size_t>(task)] = TaskRoute{
+        static_cast<int>(shard), static_cast<model::TaskId>(local)};
+    engine->task_open_[static_cast<std::size_t>(task)] = 1;
   }
 
   std::int64_t nd = 0;
@@ -205,7 +219,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
     LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &owner));
     LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &d.location.x));
     LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 4, &d.location.y));
-    if (task < 0 || task >= nt || owner < 0 || owner >= options.shards) {
+    if (task < 0 || task >= nt || owner < 0 || owner >= options.shards ||
+        !engine->task_open_[static_cast<std::size_t>(task)]) {
       return Status::OutOfRange("snapshot: displaced record out of range");
     }
     d.owner = static_cast<int>(owner);
@@ -233,7 +248,9 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
 
   std::int64_t na = 0;
   LTC_RETURN_IF_ERROR(reader.ReadCount("log", &na));
-  engine->assignments_.reserve(static_cast<std::size_t>(na));
+  // Growth headroom, so the first commit after a restore does not copy
+  // the whole log (StreamPipeline::Restore does the same).
+  engine->assignments_.reserve(2 * static_cast<std::size_t>(na));
   for (std::int64_t i = 0; i < na; ++i) {
     LTC_RETURN_IF_ERROR(reader.Read("A", 4, &f));
     StreamAssignment a;
@@ -282,7 +299,8 @@ StatusOr<std::unique_ptr<ShardedStreamEngine>> ShardedStreamEngine::Restore(
     LTC_ASSIGN_OR_RETURN(
         auto pipeline,
         StreamPipeline::Restore(
-            header, StreamPipeline::Config{options, s, cell}, &reader));
+            header, StreamPipeline::Config{options, s, cell}, nt,
+            engine->metrics_.worker_events, &reader));
     engine->pipelines_.push_back(std::move(pipeline));
   }
   if (!reader.AtEnd()) {
@@ -398,11 +416,14 @@ Status ShardedStreamEngine::HandleTaskMove(const io::Event& event) {
     return Status::InvalidArgument(
         StrFormat("move event references unknown task %d", event.task));
   }
-  const TaskRoute route = task_route_[static_cast<std::size_t>(event.task)];
-  LTC_RETURN_IF_ERROR(pipelines_[static_cast<std::size_t>(route.shard)]
-                          ->MoveTask(route.local, event.location));
   ++metrics_.move_events;
+  // A closed task's location is never read again (it is out of the grid,
+  // and post-hoc validation is skipped once anything moved), so its moves
+  // stop at the router; that is what lets a snapshot drop closed tasks.
   if (task_open_[static_cast<std::size_t>(event.task)]) {
+    const TaskRoute route = task_route_[static_cast<std::size_t>(event.task)];
+    LTC_RETURN_IF_ERROR(pipelines_[static_cast<std::size_t>(route.shard)]
+                            ->MoveTask(route.local, event.location));
     // Ownership is fixed at arrival; a task that crossed a stripe edge is
     // tracked so boundary routing can still reach its owner shard.
     const int home = map_.ShardOf(event.location);
@@ -634,9 +655,9 @@ sim::RunMetrics ShardedStreamEngine::RunMetricsView(
   run.stats.workers_seen = metrics_.worker_events;
   run.stats.assignments = metrics_.assignments;
   for (const auto& pipeline : pipelines_) {
-    for (const model::Assignment& a : pipeline->arrangement().assignments()) {
-      run.stats.total_acc_star += a.acc_star;
-    }
+    // Running totals: a restored arrangement no longer holds the
+    // assignments of closed tasks.
+    run.stats.total_acc_star += pipeline->arrangement().total_acc_star();
     // The claim table guarantees a worker commits in at most one shard.
     run.stats.workers_used += pipeline->workers_used();
   }

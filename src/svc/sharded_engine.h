@@ -67,12 +67,13 @@ class ShardedStreamEngine {
   static StatusOr<std::unique_ptr<ShardedStreamEngine>> Create(
       const io::EventLog& header, const StreamOptions& options);
 
-  /// Serializes the engine's full logical state (DESIGN.md §11): the stream
-  /// clock and event counters, the router tables (task routes and open
-  /// flags, displaced tasks, the claim table — map entries in sorted key
-  /// order so snapshot bytes are deterministic), the merged assignment log
-  /// (restarts re-render the complete log byte-for-byte), and every
-  /// pipeline's SerializeTo block. Only call between events.
+  /// Serializes the engine's live state (DESIGN.md §11): the stream clock
+  /// and event counters, the router tables (the open tasks' routes,
+  /// displaced tasks, the claim table — map entries in sorted key order so
+  /// snapshot bytes are deterministic), the merged assignment and move
+  /// logs (a restart re-renders the complete log byte-for-byte from this
+  /// state alone), and every pipeline's SerializeTo block. Closed tasks
+  /// keep only their count. Only call between events.
   Status SerializeTo(std::string* out) const;
 
   /// Counterpart of SerializeTo: rebuilds an engine, from the same header

@@ -18,90 +18,9 @@
 namespace ltc {
 namespace svc {
 
-namespace snap {
-
-Reader::Reader(const std::string& text) : lines_(Split(text, '\n')) {}
-
-Status Reader::Read(const char* key, std::size_t min_fields,
-                    std::vector<std::string>* fields) {
-  while (pos_ < lines_.size()) {
-    const std::string line = Trim(lines_[pos_]);
-    ++pos_;
-    if (line.empty()) continue;
-    *fields = Split(line, ' ');
-    if ((*fields)[0] != key) {
-      return Status::InvalidArgument(StrFormat(
-          "snapshot: expected '%s' record, got: %s", key, line.c_str()));
-    }
-    if (fields->size() < min_fields) {
-      return Status::InvalidArgument(
-          StrFormat("snapshot: '%s' record too short: %s", key, line.c_str()));
-    }
-    return Status::OK();
-  }
-  return Status::InvalidArgument(
-      StrFormat("snapshot: unexpected end of input (wanted '%s')", key));
-}
-
-Status Reader::ReadCount(const char* key, std::int64_t* count) {
-  std::vector<std::string> fields;
-  LTC_RETURN_IF_ERROR(Read(key, 2, &fields));
-  LTC_RETURN_IF_ERROR(FieldI64(fields, 1, count));
-  if (*count < 0) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot: negative '%s' count %lld", key,
-        static_cast<long long>(*count)));
-  }
-  if (*count > unread_lines()) {
-    return Status::OutOfRange(StrFormat(
-        "snapshot: '%s' count %lld exceeds the %lld unread line(s)", key,
-        static_cast<long long>(*count),
-        static_cast<long long>(unread_lines())));
-  }
-  return Status::OK();
-}
-
-Status Reader::ReadRaw(std::string* line) {
-  if (pos_ >= lines_.size()) {
-    return Status::InvalidArgument("snapshot: unexpected end of input");
-  }
-  *line = Trim(lines_[pos_]);
-  ++pos_;
-  return Status::OK();
-}
-
-bool Reader::AtEnd() const {
-  for (std::size_t i = pos_; i < lines_.size(); ++i) {
-    if (!Trim(lines_[i]).empty()) return false;
-  }
-  return true;
-}
-
-Status FieldI64(const std::vector<std::string>& fields, std::size_t i,
-                std::int64_t* out) {
-  if (i >= fields.size() || !ParseInt64(fields[i], out)) {
-    return Status::InvalidArgument(
-        StrFormat("snapshot: bad integer field %zu in '%s' record", i,
-                  fields.empty() ? "?" : fields[0].c_str()));
-  }
-  return Status::OK();
-}
-
-Status FieldDouble(const std::vector<std::string>& fields, std::size_t i,
-                   double* out) {
-  if (i >= fields.size() || !ParseDouble(fields[i], out)) {
-    return Status::InvalidArgument(
-        StrFormat("snapshot: bad double field %zu in '%s' record", i,
-                  fields.empty() ? "?" : fields[0].c_str()));
-  }
-  return Status::OK();
-}
-
-}  // namespace snap
-
 namespace {
 
-constexpr char kSnapshotHeader[] = "# ltc-snapshot v1";
+constexpr std::string_view kSnapshotHeader = "# ltc-snapshot v2";
 
 std::string SnapshotName(std::int64_t events_applied) {
   return StrFormat("snap-%lld.snap", static_cast<long long>(events_applied));
@@ -168,7 +87,7 @@ Status SnapshotStore::Write(std::int64_t events_applied,
     return Status::IOError("injected snap.write fault: " + *action);
   }
 
-  std::string body = kSnapshotHeader;
+  std::string body(kSnapshotHeader);
   body += '\n';
   body += StrFormat("events_applied %lld\n",
                     static_cast<long long>(events_applied));
@@ -217,7 +136,7 @@ StatusOr<SnapshotStore::Loaded> SnapshotStore::LoadLatest() const {
       ++loaded.discarded;
       continue;
     }
-    const std::string& body = read.value();
+    std::string& body = read.value();
 
     // The trailer is the final "crc32 <hex>\n" line; the checksum covers
     // every byte before it.
@@ -237,34 +156,38 @@ StatusOr<SnapshotStore::Loaded> SnapshotStore::LoadLatest() const {
       continue;
     }
 
-    snap::Reader reader(body.substr(0, trailer));
-    std::string header_line;
-    if (!reader.ReadRaw(&header_line).ok() || header_line != kSnapshotHeader) {
+    // Line 1 is the format header; a snapshot of another version (a v1
+    // file left by an older build) is discarded like a damaged one, and
+    // recovery falls back to an older snapshot or a full WAL replay.
+    const std::size_t header_end = body.find('\n');
+    if (std::string_view(body).substr(0, header_end) != kSnapshotHeader) {
       ++loaded.discarded;
       continue;
     }
-    std::vector<std::string> fields;
+    // Line 2 is "events_applied N"; the payload runs from the line after
+    // it to the trailer.
+    constexpr std::string_view kEventsTag = "events_applied ";
+    const std::size_t events_begin = header_end + 1;
+    const std::size_t events_end = body.find('\n', events_begin);
     std::int64_t events_applied = 0;
-    if (!reader.Read("events_applied", 2, &fields).ok() ||
-        !snap::FieldI64(fields, 1, &events_applied).ok() ||
+    if (events_end == std::string::npos || events_end >= trailer ||
+        std::string_view(body).substr(events_begin, kEventsTag.size()) !=
+            kEventsTag ||
+        !ParseInt64(std::string_view(body).substr(
+                        events_begin + kEventsTag.size(),
+                        events_end - events_begin - kEventsTag.size()),
+                    &events_applied) ||
         events_applied < 0) {
-      ++loaded.discarded;
-      continue;
-    }
-
-    // Payload = everything between the events_applied line and the trailer.
-    const std::string marker =
-        StrFormat("events_applied %lld\n",
-                  static_cast<long long>(events_applied));
-    const std::size_t payload_start = body.find(marker);
-    if (payload_start == std::string::npos) {
       ++loaded.discarded;
       continue;
     }
     loaded.found = true;
     loaded.events_applied = events_applied;
-    loaded.engine_state = body.substr(payload_start + marker.size(),
-                                      trailer - payload_start - marker.size());
+    // Strip header and trailer in place: one move of the payload bytes,
+    // no copy of the file.
+    body.resize(trailer);
+    body.erase(0, events_end + 1);
+    loaded.engine_state = std::move(body);
     return loaded;
   }
   return loaded;

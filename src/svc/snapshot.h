@@ -1,9 +1,10 @@
 // Snapshot persistence for the crash-recoverable service (DESIGN.md §11).
 //
-// A snapshot is a text artifact ("ltc-snapshot v1"): a header naming how
+// A snapshot is a text artifact ("ltc-snapshot v2"): a header naming how
 // many WAL events the captured engine state reflects, the engine's
-// serialized state (sharded_engine.h / stream_engine.h), and a CRC-32
-// trailer over everything before it. Snapshots are written atomically
+// serialized live state (sharded_engine.h / stream_engine.h), and a CRC-32
+// trailer over everything before it. A file of another version is
+// discarded like a damaged one. Snapshots are written atomically
 // (temp file + fsync + rename + directory fsync) so a crash mid-write can
 // never shadow an older good snapshot, and the CRC turns a torn or
 // bit-rotted file into a *detected* invalid snapshot that LoadLatest skips
@@ -22,57 +23,11 @@
 #include <string>
 #include <vector>
 
+#include "common/snap_reader.h"
 #include "common/status.h"
 
 namespace ltc {
 namespace svc {
-
-namespace snap {
-
-/// \brief Line-cursor reader shared by every snapshot parser.
-///
-/// Snapshot state is line-oriented: "key field field ...". Read() consumes
-/// the next non-empty line, verifies its key, splits its fields, and fails
-/// with the offending line in the message — so a parse error in a 10k-line
-/// snapshot still points at the byte that broke.
-class Reader {
- public:
-  explicit Reader(const std::string& text);
-
-  /// Consumes the next non-empty line; errors unless fields[0] == key and
-  /// at least min_fields fields are present.
-  Status Read(const char* key, std::size_t min_fields,
-              std::vector<std::string>* fields);
-
-  /// Reads a "key N" record whose N counts the lines that follow it (each
-  /// record is one line). Rejects a negative N, and an N larger than the
-  /// unread line count, before any caller sizes a container by it — a
-  /// damaged count can never allocate beyond the snapshot's own size.
-  Status ReadCount(const char* key, std::int64_t* count);
-
-  /// Consumes the next line verbatim (embedded sub-blobs, e.g. scheduler
-  /// state). Errors at end of input.
-  Status ReadRaw(std::string* line);
-
-  /// Lines not yet consumed: an upper bound on the records left.
-  std::int64_t unread_lines() const {
-    return static_cast<std::int64_t>(lines_.size() - pos_);
-  }
-
-  bool AtEnd() const;
-
- private:
-  std::vector<std::string> lines_;
-  std::size_t pos_ = 0;
-};
-
-/// Field parse helpers with contextual errors.
-Status FieldI64(const std::vector<std::string>& fields, std::size_t i,
-                std::int64_t* out);
-Status FieldDouble(const std::vector<std::string>& fields, std::size_t i,
-                   double* out);
-
-}  // namespace snap
 
 /// \brief Atomic, CRC-guarded snapshot files in one state directory.
 ///
@@ -85,7 +40,7 @@ class SnapshotStore {
   static StatusOr<SnapshotStore> Open(const std::string& dir);
 
   /// Writes `engine_state` as the snapshot for `events_applied` WAL events:
-  /// frames it with the v1 header and CRC trailer, lands it atomically as
+  /// frames it with the v2 header and CRC trailer, lands it atomically as
   /// snap-<events_applied>.snap, appends it to MANIFEST, and prunes all but
   /// the newest `retain` snapshots. Fault points: "snap.write",
   /// "snap.fsync".
@@ -103,8 +58,9 @@ class SnapshotStore {
   };
 
   /// Scans the store newest-first and returns the first snapshot whose CRC
-  /// and header validate. found == false (OK status) when none do — the
-  /// caller falls back to full WAL replay.
+  /// and header validate (a v1 file from an older build does not).
+  /// found == false (OK status) when none do — the caller falls back to
+  /// full WAL replay.
   StatusOr<Loaded> LoadLatest() const;
 
   /// Snapshot files currently on disk, oldest first.

@@ -123,20 +123,36 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
     return Status::FailedPrecondition(
         "pipeline snapshot mid-round: pending records not yet merged");
   }
+  // The scheduler blob comes first: it names the workers its live state
+  // references, and only those workers' records are kept.
+  std::string sched;
+  std::vector<model::WorkerIndex> live_workers(batch_.begin(), batch_.end());
+  LTC_RETURN_IF_ERROR(scheduler_->SerializeState(&sched, &live_workers));
+  for (const auto& [w, route] : routes_) live_workers.push_back(w);
+  std::sort(live_workers.begin(), live_workers.end());
+  live_workers.erase(std::unique(live_workers.begin(), live_workers.end()),
+                     live_workers.end());
+
+  // Open tasks only, by explicit local id; the dense id space is restored
+  // with placeholders for the closed ones.
   const std::int64_t nt = instance_.num_tasks();
-  AppendRecord(out, "ptasks", nt);
+  std::int64_t n_open = 0;
+  for (const char o : open_) n_open += o != 0 ? 1 : 0;
+  AppendRecord(out, "ptasks", n_open, nt);
   for (std::int64_t t = 0; t < nt; ++t) {
     const auto ti = static_cast<std::size_t>(t);
+    if (!open_[ti]) continue;
     // Current location, not arrival location: moves already applied.
-    AppendRecord(out, "pt", task_global_[ti], task_arrival_time_[ti],
+    AppendRecord(out, "pt", t, task_global_[ti], task_arrival_time_[ti],
                  instance_.tasks[ti].location.x,
                  instance_.tasks[ti].location.y);
   }
-  AppendRecord(out, "pworkers", instance_.num_workers());
-  for (std::size_t i = 0; i < instance_.workers.size(); ++i) {
-    const model::Worker& w = instance_.workers[i];
-    AppendRecord(out, "pw", worker_global_[i], w.location.x, w.location.y,
-                 w.historical_accuracy);
+  AppendRecord(out, "pworkers", live_workers.size(), instance_.num_workers());
+  for (const model::WorkerIndex w : live_workers) {
+    const auto i = static_cast<std::size_t>(w) - 1;
+    const model::Worker& worker = instance_.workers[i];
+    AppendRecord(out, "pw", w, worker_global_[i], worker.location.x,
+                 worker.location.y, worker.historical_accuracy);
   }
   out->append("pbatch ");
   AppendDouble(out, batch_open_time_);
@@ -147,7 +163,8 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
     AppendInt(out, w);
   }
   out->push_back('\n');
-  AppendRecord(out, "pcounters", batches_, max_batch_size_, tasks_completed_);
+  AppendRecord(out, "pcounters", batches_, max_batch_size_, tasks_completed_,
+               routes_created_, route_travel_time_);
   AppendRecord(out, "plat_a", assignment_latency_samples_.size());
   for (const double v : assignment_latency_samples_) {
     AppendRecord(out, "l", v);
@@ -156,14 +173,12 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
   for (const double v : completion_latency_samples_) {
     AppendRecord(out, "l", v);
   }
-  std::string sched;
-  LTC_RETURN_IF_ERROR(scheduler_->SerializeState(&sched));
   const auto sched_lines =
       static_cast<std::int64_t>(std::count(sched.begin(), sched.end(), '\n'));
   AppendRecord(out, "sched", sched_lines);
   out->append(sched);
-  // Route state rides along only in route_workers mode, so the default
-  // snapshot bytes are exactly the pre-routing format.
+  // Route state rides along only in route_workers mode: the routes with
+  // stops still ahead (finished ones are folded into the counters).
   if (config_.options.route_workers) {
     AppendRecord(out, "proutes", routes_.size());
     for (const auto& [w, route] : routes_) {
@@ -175,10 +190,9 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
     }
   }
   // Adaptive-deadline state likewise rides along only when the policy is
-  // on, so fixed-mode snapshot bytes are unchanged. The forecast blob and
-  // the open batch's flush instant are schedule inputs: a restored service
-  // must predict — and therefore flush — exactly as the uninterrupted one
-  // would (DESIGN.md §13).
+  // on. The forecast blob and the open batch's flush instant are schedule
+  // inputs: a restored service must predict — and therefore flush —
+  // exactly as the uninterrupted one would (DESIGN.md §13).
   if (config_.options.deadline_policy == DeadlinePolicy::kAdaptive) {
     std::string blob;
     LTC_RETURN_IF_ERROR(forecast_->SerializeTo(&blob));
@@ -193,60 +207,118 @@ Status StreamPipeline::SerializeTo(std::string* out) const {
   return Status::OK();
 }
 
+namespace {
+
+/// Reads a "key <records> <ids>" header: `records` lines follow, and the
+/// dense id space they index is `ids` long, at least `records` and at
+/// most `max_ids`.
+Status ReadIdSpace(snap::Reader* reader, const char* key,
+                   std::int64_t max_ids, std::int64_t* records,
+                   std::int64_t* ids) {
+  snap::Fields f;
+  LTC_RETURN_IF_ERROR(reader->ReadCount(key, records, 3, &f));
+  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, ids));
+  if (*ids < *records || *ids > max_ids) {
+    return Status::OutOfRange(StrFormat(
+        "snapshot: '%s' id space %lld outside [%lld, %lld]", key,
+        static_cast<long long>(*ids), static_cast<long long>(*records),
+        static_cast<long long>(max_ids)));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
-    const io::EventLog& header, const Config& config, snap::Reader* reader) {
+    const io::EventLog& header, const Config& config, std::int64_t max_tasks,
+    std::int64_t max_workers, snap::Reader* reader) {
   if (header.accuracy == nullptr) {
     return Status::InvalidArgument("event log header has no accuracy model");
   }
   std::unique_ptr<StreamPipeline> pipeline(new StreamPipeline(config));
-  pipeline->instance_.epsilon = header.epsilon;
-  pipeline->instance_.capacity = header.capacity;
-  pipeline->instance_.acc_min = header.acc_min;
-  pipeline->instance_.accuracy = header.accuracy;
+  StreamPipeline& p = *pipeline;
+  p.instance_.epsilon = header.epsilon;
+  p.instance_.capacity = header.capacity;
+  p.instance_.acc_min = header.acc_min;
+  p.instance_.accuracy = header.accuracy;
 
-  std::vector<std::string> f;
+  snap::Fields f;
 
-  // Tasks: local ids are the serialization order.
+  // Tasks: the dense local id space, placeholders for the closed ids (no
+  // location, arrival or global id is ever read for them again), then the
+  // open tasks' records in ascending local id.
+  std::int64_t n_open = 0;
   std::int64_t nt = 0;
-  LTC_RETURN_IF_ERROR(reader->ReadCount("ptasks", &nt));
-  pipeline->instance_.tasks.reserve(static_cast<std::size_t>(nt));
-  for (std::int64_t t = 0; t < nt; ++t) {
-    LTC_RETURN_IF_ERROR(reader->Read("pt", 5, &f));
+  LTC_RETURN_IF_ERROR(ReadIdSpace(reader, "ptasks", max_tasks, &n_open, &nt));
+  const auto nts = static_cast<std::size_t>(nt);
+  p.instance_.tasks.resize(nts);
+  for (std::size_t t = 0; t < nts; ++t) {
+    p.instance_.tasks[t].id = static_cast<model::TaskId>(t);
+  }
+  p.task_arrival_time_.assign(nts, 0.0);
+  p.task_global_.assign(nts, -1);
+  p.open_.assign(nts, 0);
+  std::int64_t prev = -1;
+  for (std::int64_t i = 0; i < n_open; ++i) {
+    LTC_RETURN_IF_ERROR(reader->Read("pt", 6, &f));
+    std::int64_t local = 0;
     std::int64_t global = 0;
-    model::Task task;
-    task.id = static_cast<model::TaskId>(t);
-    double arrival = 0.0;
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &global));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 2, &arrival));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &task.location.x));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 4, &task.location.y));
-    pipeline->instance_.tasks.push_back(task);
-    pipeline->task_arrival_time_.push_back(arrival);
-    pipeline->task_global_.push_back(static_cast<model::TaskId>(global));
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &local));
+    if (local <= prev || local >= nt) {
+      return Status::OutOfRange("snapshot: task record out of order");
+    }
+    prev = local;
+    const auto ti = static_cast<std::size_t>(local);
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &global));
+    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &p.task_arrival_time_[ti]));
+    LTC_RETURN_IF_ERROR(
+        snap::FieldDouble(f, 4, &p.instance_.tasks[ti].location.x));
+    LTC_RETURN_IF_ERROR(
+        snap::FieldDouble(f, 5, &p.instance_.tasks[ti].location.y));
+    p.task_global_[ti] = static_cast<model::TaskId>(global);
+    p.open_[ti] = 1;
   }
 
-  // Workers: local arrival indices are the serialization order + 1.
+  // Workers: the dense local arrival-index space, placeholders for the
+  // workers no live state references, then the live workers' records.
+  std::int64_t n_live = 0;
   std::int64_t nw = 0;
-  LTC_RETURN_IF_ERROR(reader->ReadCount("pworkers", &nw));
-  pipeline->instance_.workers.reserve(static_cast<std::size_t>(nw));
-  for (std::int64_t i = 0; i < nw; ++i) {
-    LTC_RETURN_IF_ERROR(reader->Read("pw", 5, &f));
+  LTC_RETURN_IF_ERROR(
+      ReadIdSpace(reader, "pworkers", max_workers, &n_live, &nw));
+  const auto nws = static_cast<std::size_t>(nw);
+  // Growth headroom, as the live engine's geometric growth leaves it:
+  // without it the first arrival after a restore copies the whole array.
+  p.instance_.workers.reserve(2 * nws);
+  p.worker_global_.reserve(2 * nws);
+  p.instance_.workers.resize(nws);
+  for (std::size_t i = 0; i < nws; ++i) {
+    p.instance_.workers[i].index = static_cast<model::WorkerIndex>(i + 1);
+  }
+  p.worker_global_.assign(nws, 0);
+  prev = 0;
+  for (std::int64_t i = 0; i < n_live; ++i) {
+    LTC_RETURN_IF_ERROR(reader->Read("pw", 6, &f));
+    std::int64_t local = 0;
     std::int64_t global = 0;
-    model::Worker worker;
-    worker.index = static_cast<model::WorkerIndex>(i + 1);
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &global));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 2, &worker.location.x));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &worker.location.y));
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 4, &worker.historical_accuracy));
-    pipeline->instance_.workers.push_back(worker);
-    pipeline->worker_global_.push_back(
-        static_cast<model::WorkerIndex>(global));
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &local));
+    if (local <= prev || local > nw) {
+      return Status::OutOfRange("snapshot: worker record out of order");
+    }
+    prev = local;
+    model::Worker& worker =
+        p.instance_.workers[static_cast<std::size_t>(local) - 1];
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &global));
+    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 3, &worker.location.x));
+    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 4, &worker.location.y));
+    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 5, &worker.historical_accuracy));
+    p.worker_global_[static_cast<std::size_t>(local) - 1] =
+        static_cast<model::WorkerIndex>(global);
   }
 
   // The open micro-batch.
   LTC_RETURN_IF_ERROR(reader->Read("pbatch", 3, &f));
   std::int64_t batch_n = 0;
-  LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &pipeline->batch_open_time_));
+  LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &p.batch_open_time_));
   LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &batch_n));
   if (batch_n < 0 || f.size() != static_cast<std::size_t>(batch_n) + 3) {
     return Status::InvalidArgument("snapshot: batch record length mismatch");
@@ -257,54 +329,48 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
     if (w < 1 || w > nw) {
       return Status::OutOfRange("snapshot: batch worker out of range");
     }
-    pipeline->batch_.push_back(static_cast<model::WorkerIndex>(w));
+    p.batch_.push_back(static_cast<model::WorkerIndex>(w));
   }
 
-  LTC_RETURN_IF_ERROR(reader->Read("pcounters", 4, &f));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &pipeline->batches_));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &pipeline->max_batch_size_));
-  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &pipeline->tasks_completed_));
+  LTC_RETURN_IF_ERROR(reader->Read("pcounters", 6, &f));
+  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 1, &p.batches_));
+  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &p.max_batch_size_));
+  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &p.tasks_completed_));
+  LTC_RETURN_IF_ERROR(snap::FieldI64(f, 4, &p.routes_created_));
+  LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 5, &p.route_travel_time_));
 
   // Latency samples (metrics parity across restarts, not schedule inputs).
-  std::int64_t n_samples = 0;
-  LTC_RETURN_IF_ERROR(reader->ReadCount("plat_a", &n_samples));
-  for (std::int64_t i = 0; i < n_samples; ++i) {
-    LTC_RETURN_IF_ERROR(reader->Read("l", 2, &f));
-    double v = 0.0;
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &v));
-    pipeline->assignment_latency_samples_.push_back(v);
-  }
-  LTC_RETURN_IF_ERROR(reader->ReadCount("plat_c", &n_samples));
-  for (std::int64_t i = 0; i < n_samples; ++i) {
-    LTC_RETURN_IF_ERROR(reader->Read("l", 2, &f));
-    double v = 0.0;
-    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &v));
-    pipeline->completion_latency_samples_.push_back(v);
+  for (auto [key, samples] :
+       {std::pair{"plat_a", &p.assignment_latency_samples_},
+        std::pair{"plat_c", &p.completion_latency_samples_}}) {
+    std::int64_t n_samples = 0;
+    LTC_RETURN_IF_ERROR(reader->ReadCount(key, &n_samples));
+    samples->reserve(2 * static_cast<std::size_t>(n_samples));
+    samples->resize(static_cast<std::size_t>(n_samples));
+    for (double& v : *samples) {
+      LTC_RETURN_IF_ERROR(reader->Read("l", 2, &f));
+      LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &v));
+    }
   }
 
-  // Scheduler blob: restore against the fully re-grown instance.
+  // Scheduler blob, passed on as a view: restore against the re-grown
+  // instance, retiring the closed tasks.
   std::int64_t sched_lines = 0;
+  std::string_view blob;
   LTC_RETURN_IF_ERROR(reader->ReadCount("sched", &sched_lines));
-  std::string blob;
-  for (std::int64_t i = 0; i < sched_lines; ++i) {
-    std::string line;
-    LTC_RETURN_IF_ERROR(reader->ReadRaw(&line));
-    blob += line;
-    blob += '\n';
-  }
-  LTC_ASSIGN_OR_RETURN(pipeline->scheduler_,
-                       MakePipelineScheduler(config.options));
-  LTC_RETURN_IF_ERROR(pipeline->scheduler_->RestoreState(
-      pipeline->instance_,
+  LTC_RETURN_IF_ERROR(reader->ReadBlock(sched_lines, &blob));
+  LTC_ASSIGN_OR_RETURN(p.scheduler_, MakePipelineScheduler(config.options));
+  LTC_RETURN_IF_ERROR(p.scheduler_->RestoreState(
+      p.instance_,
       algo::OnlineScheduler::StreamShardContext{config.shard_id,
                                                 config.options.shards},
-      blob));
+      p.open_, blob));
 
   if (config.options.route_workers) {
-    const geo::Metric& metric =
-        *pipeline->instance_.accuracy->DistanceMetric();
+    const geo::Metric& metric = *p.instance_.accuracy->DistanceMetric();
     std::int64_t n_routes = 0;
     LTC_RETURN_IF_ERROR(reader->ReadCount("proutes", &n_routes));
+    std::vector<std::pair<model::TaskId, geo::Point>> stops;
     for (std::int64_t r = 0; r < n_routes; ++r) {
       LTC_RETURN_IF_ERROR(reader->Read("pr", 7, &f));
       std::int64_t w = 0;
@@ -322,8 +388,7 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
           n_stops < 0 || n_stops > reader->unread_lines()) {
         return Status::OutOfRange("snapshot: route record out of range");
       }
-      std::vector<std::pair<model::TaskId, geo::Point>> stops;
-      stops.reserve(static_cast<std::size_t>(n_stops));
+      stops.clear();
       for (std::int64_t s = 0; s < n_stops; ++s) {
         LTC_RETURN_IF_ERROR(reader->Read("ps", 4, &f));
         std::int64_t task = 0;
@@ -338,37 +403,28 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
       const auto worker = static_cast<model::WorkerIndex>(w);
       model::WorkerRoute route = model::WorkerRoute::FromStops(
           metric, origin, start_time, stops, static_cast<std::size_t>(visited));
-      pipeline->QueueRoute(worker, route);
-      pipeline->routes_.emplace(worker, std::move(route));
+      p.QueueRoute(worker, route);
+      p.routes_.emplace(worker, std::move(route));
     }
   }
   if (config.options.deadline_policy == DeadlinePolicy::kAdaptive) {
-    LTC_RETURN_IF_ERROR(pipeline->InitForecast());
+    LTC_RETURN_IF_ERROR(p.InitForecast());
     std::int64_t blob_lines = 0;
     LTC_RETURN_IF_ERROR(reader->ReadCount("pfcst", &blob_lines));
-    std::string blob;
-    for (std::int64_t i = 0; i < blob_lines; ++i) {
-      std::string line;
-      LTC_RETURN_IF_ERROR(reader->ReadRaw(&line));
-      blob += line;
-      blob += '\n';
-    }
-    LTC_RETURN_IF_ERROR(pipeline->forecast_->RestoreFrom(blob));
+    LTC_RETURN_IF_ERROR(reader->ReadBlock(blob_lines, &blob));
+    LTC_RETURN_IF_ERROR(p.forecast_->RestoreFrom(blob));
     LTC_RETURN_IF_ERROR(reader->Read("pdl", 4, &f));
-    LTC_RETURN_IF_ERROR(
-        snap::FieldDouble(f, 1, &pipeline->batch_flush_time_));
-    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &pipeline->quiet_flushes_));
-    LTC_RETURN_IF_ERROR(
-        snap::FieldI64(f, 3, &pipeline->deadline_extensions_));
+    LTC_RETURN_IF_ERROR(snap::FieldDouble(f, 1, &p.batch_flush_time_));
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 2, &p.quiet_flushes_));
+    LTC_RETURN_IF_ERROR(snap::FieldI64(f, 3, &p.deadline_extensions_));
   }
   LTC_RETURN_IF_ERROR(reader->Read("endpipe", 1, &f));
 
-  // Derived state. open_ follows from the restored arrangement (a task is
-  // closed exactly when it reached delta — CloseCompleted's invariant), and
-  // the grid is rebuilt over the open set in ascending local-id order,
-  // which matches incremental maintenance query-for-query (the sorted-
-  // bucket invariant of geo/grid_index.h).
-  const model::Arrangement& arr = pipeline->scheduler_->arrangement();
+  // Derived state. A task is open exactly when it is below delta
+  // (CloseCompleted's invariant), and the grid is rebuilt over the open
+  // set in ascending local-id order, which matches incremental maintenance
+  // query-for-query (the sorted-bucket invariant of geo/grid_index.h).
+  const model::Arrangement& arr = p.scheduler_->arrangement();
   if (arr.num_tasks() != nt) {
     return Status::Internal("snapshot: scheduler/task count mismatch");
   }
@@ -376,16 +432,17 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Restore(
     LTC_ASSIGN_OR_RETURN(
         auto grid,
         geo::GridIndex::BuildDynamic(config.options.world, *config.cell_size));
-    pipeline->grid_.emplace(std::move(grid));
+    p.grid_.emplace(std::move(grid));
   }
-  pipeline->open_.assign(static_cast<std::size_t>(nt), 0);
   for (std::int64_t t = 0; t < nt; ++t) {
     const auto ti = static_cast<std::size_t>(t);
-    if (arr.TaskCompleted(static_cast<model::TaskId>(t))) continue;
-    pipeline->open_[ti] = 1;
-    if (pipeline->grid_.has_value()) {
-      LTC_RETURN_IF_ERROR(pipeline->grid_->Insert(
-          static_cast<model::TaskId>(t), pipeline->instance_.tasks[ti].location));
+    if (!p.open_[ti]) continue;
+    if (arr.TaskCompleted(static_cast<model::TaskId>(t))) {
+      return Status::InvalidArgument("snapshot: open task already complete");
+    }
+    if (p.grid_.has_value()) {
+      LTC_RETURN_IF_ERROR(p.grid_->Insert(static_cast<model::TaskId>(t),
+                                          p.instance_.tasks[ti].location));
     }
   }
   return pipeline;
@@ -569,6 +626,7 @@ Status StreamPipeline::CommitBatch(double flush_time) {
     }
     CloseCompleted(assigned_scratch_, flush_time);
   }
+  FoldNewRoutes();
   batch_.clear();
   return Status::OK();
 }
@@ -605,6 +663,7 @@ void StreamPipeline::RecordCommits(
     }
   }
   CloseCompleted(assigned_scratch_, time);
+  FoldNewRoutes();
 }
 
 void StreamPipeline::AdvanceRoutes(double now) {
@@ -612,7 +671,9 @@ void StreamPipeline::AdvanceRoutes(double now) {
   while (!route_due_.empty() && route_due_.top().first <= now) {
     const auto [time, w] = route_due_.top();
     route_due_.pop();
-    const model::WorkerRoute& route = routes_.find(w)->second;
+    const auto it = routes_.find(w);
+    if (it == routes_.end()) continue;  // stale entry of a finished route
+    const model::WorkerRoute& route = it->second;
     if (!route.done() && route.stops()[route.visited()].reach_time == time) {
       due_scratch_.push_back(w);
     }
@@ -623,14 +684,21 @@ void StreamPipeline::AdvanceRoutes(double now) {
   due_scratch_.erase(std::unique(due_scratch_.begin(), due_scratch_.end()),
                      due_scratch_.end());
   for (const model::WorkerIndex w : due_scratch_) {
-    model::WorkerRoute& route = routes_.find(w)->second;
+    const auto it = routes_.find(w);
+    model::WorkerRoute& route = it->second;
     const model::WorkerIndex global =
         worker_global_[static_cast<std::size_t>(w) - 1];
     route.AdvanceTo(now, [&](const model::WorkerRoute::Stop& stop) {
       pending_moves_.push_back(
           WorkerMove{stop.reach_time, global, stop.location, stop.task});
     });
-    QueueRoute(w, route);
+    // A finished route is history: its cost is already folded into the
+    // counters, and its worker is never assigned again.
+    if (route.done()) {
+      routes_.erase(it);
+    } else {
+      QueueRoute(w, route);
+    }
   }
 }
 
@@ -650,6 +718,8 @@ void StreamPipeline::RouteAssignment(model::WorkerIndex w, model::TaskId t,
     it = routes_
              .emplace(w, model::WorkerRoute(worker.location, time))
              .first;
+    new_routes_.push_back(w);
+    ++routes_created_;
   }
   const geo::Metric& metric = *instance_.accuracy->DistanceMetric();
   // Stops carry the *global* task id (moves are global records) and the
@@ -659,10 +729,15 @@ void StreamPipeline::RouteAssignment(model::WorkerIndex w, model::TaskId t,
   QueueRoute(w, it->second);
 }
 
-double StreamPipeline::route_travel_time() const {
-  double total = 0.0;
-  for (const auto& [w, route] : routes_) total += route.total_cost();
-  return total;
+void StreamPipeline::FoldNewRoutes() {
+  // Ascending local-worker order: a round's routes all belong to workers
+  // admitted after every earlier round's, so this adds each route's cost
+  // in exactly the order a walk over all routes would.
+  std::sort(new_routes_.begin(), new_routes_.end());
+  for (const model::WorkerIndex w : new_routes_) {
+    route_travel_time_ += routes_.find(w)->second.total_cost();
+  }
+  new_routes_.clear();
 }
 
 void StreamPipeline::CloseCompleted(
@@ -697,12 +772,7 @@ std::int64_t StreamPipeline::open_tasks() const {
 }
 
 std::int64_t StreamPipeline::workers_used() const {
-  const model::Arrangement& arr = scheduler_->arrangement();
-  std::int64_t used = 0;
-  for (model::WorkerIndex w = 1; w <= arr.MaxWorkerIndex(); ++w) {
-    if (arr.Load(w) > 0) ++used;
-  }
-  return used;
+  return scheduler_->arrangement().workers_used();
 }
 
 }  // namespace svc

@@ -237,22 +237,31 @@ class StreamPipeline {
   static StatusOr<std::unique_ptr<StreamPipeline>> Create(
       const io::EventLog& header, const Config& config);
 
-  /// Serializes the pipeline's full logical state (DESIGN.md §11): the
-  /// grown instance (tasks with arrival times and *current* locations,
-  /// workers), the open micro-batch, the batch counters, the latency
-  /// samples, and the scheduler's own SerializeState blob. The grid index
-  /// is NOT serialized — it is derived state, rebuilt over the open set on
+  /// Serializes the pipeline's live state (DESIGN.md §11): the dense
+  /// task and worker id-space sizes, the open tasks (arrival times and
+  /// *current* locations), the workers some live state still references
+  /// (the open batch, the scheduler's state, an unfinished route), the
+  /// open micro-batch, the counters, the latency samples, the scheduler's
+  /// own SerializeState blob, the unfinished routes, and the forecast.
+  /// Closed tasks and unreferenced workers are history the WAL holds; the
+  /// snapshot keeps only how many there were. The grid index is NOT
+  /// serialized — it is derived state, rebuilt over the open set on
   /// restore (bucket contents stay ascending by id either way, so queries
   /// match; geo/grid_index.h). Only call between events: the per-round
   /// pending_* buffers must be empty.
   Status SerializeTo(std::string* out) const;
 
   /// Counterpart of SerializeTo: rebuilds a pipeline from a serialized
-  /// block at *cursor (advancing it past the block). The restored pipeline
-  /// is commitment-for-commitment indistinguishable from one that lived
-  /// through the whole stream prefix (svc_recovery_test pins this).
+  /// block at *reader (advancing it past the block). Closed tasks and
+  /// unreferenced workers come back as inert placeholders, so local ids,
+  /// instance().num_workers() and every later log byte are unchanged; the
+  /// id-space sizes are bounded by the engine's `max_tasks` and
+  /// `max_workers`. The restored pipeline is commitment-for-commitment
+  /// indistinguishable from one that lived through the whole stream
+  /// prefix (svc_recovery_test pins this).
   static StatusOr<std::unique_ptr<StreamPipeline>> Restore(
-      const io::EventLog& header, const Config& config, snap::Reader* reader);
+      const io::EventLog& header, const Config& config,
+      std::int64_t max_tasks, std::int64_t max_workers, snap::Reader* reader);
 
   StreamPipeline(const StreamPipeline&) = delete;
   StreamPipeline& operator=(const StreamPipeline&) = delete;
@@ -356,12 +365,11 @@ class StreamPipeline {
   std::int64_t open_tasks() const;
   /// Distinct (local) workers holding at least one assignment.
   std::int64_t workers_used() const;
-  /// route_workers mode: workers holding a route.
-  std::int64_t routed_workers() const {
-    return static_cast<std::int64_t>(routes_.size());
-  }
-  /// route_workers mode: total metric travel time over all routes.
-  double route_travel_time() const;
+  /// route_workers mode: workers that ever held a route.
+  std::int64_t routed_workers() const { return routes_created_; }
+  /// route_workers mode: total metric travel time over all routes, summed
+  /// in ascending local-worker order.
+  double route_travel_time() const { return route_travel_time_; }
   std::vector<double>* mutable_assignment_latency_samples() {
     return &assignment_latency_samples_;
   }
@@ -388,6 +396,10 @@ class StreamPipeline {
   /// (time, worker) sort fixes the global order). Visits only the routes
   /// route_due_ names, not every route.
   void AdvanceRoutes(double now);
+  /// Adds the cost of every route created since the last call to
+  /// route_travel_time_, in ascending local-worker order. Called at the
+  /// end of each commit, once those routes' costs are final.
+  void FoldNewRoutes();
   /// Queues local worker `w`'s route under its next stop's reach time
   /// (no-op when the route is done).
   void QueueRoute(model::WorkerIndex w, const model::WorkerRoute& route);
@@ -433,9 +445,14 @@ class StreamPipeline {
   std::vector<algo::OnlineScheduler::StreamCommit> commits_scratch_;
   std::vector<StreamAssignment> pending_assignments_;
   std::vector<model::TaskId> pending_closed_;
-  // Route state (route_workers only; empty otherwise). Ordered by local
-  // worker index so advancement and serialization are deterministic.
+  // Route state (route_workers only; empty otherwise): the routes with
+  // stops still ahead, ordered by local worker index so advancement and
+  // serialization are deterministic. A route leaves the map when its last
+  // stop is reached; the counters below keep what the outputs need of it.
   std::map<model::WorkerIndex, model::WorkerRoute> routes_;
+  std::vector<model::WorkerIndex> new_routes_;  // created this commit
+  std::int64_t routes_created_ = 0;
+  double route_travel_time_ = 0.0;
   // Min-queue of (next stop reach time, local worker): every unfinished
   // route has an entry at its current next reach time, and an insertion
   // that re-times a route leaves its old entry behind as stale (dropped

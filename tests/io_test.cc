@@ -196,6 +196,80 @@ TEST(EventLogIoTest, CrlfTerminatedLogParsesTolerantly) {
   EXPECT_EQ(round.value(), text);
 }
 
+/// `text` with its "events N" line's count replaced by `count`.
+std::string WithEventCount(const std::string& text, const std::string& count) {
+  const std::size_t line = text.find("\nevents ");
+  EXPECT_NE(line, std::string::npos);
+  const std::size_t begin = line + 8;
+  return text.substr(0, begin) + count + text.substr(text.find('\n', begin));
+}
+
+// A damaged "events N" count is a clean InvalidArgument, never an
+// allocation sized by the damage: a negative count is rejected outright,
+// and a huge one reserves no more than the rest of the input could hold
+// (and then fails the declared-count check).
+TEST(EventLogIoTest, BadEventCountIsACleanError) {
+  const std::string text = SmallEventLogText();
+  const auto negative = ParseEventLog(WithEventCount(text, "-1"));
+  ASSERT_TRUE(negative.status().IsInvalidArgument())
+      << negative.status().ToString();
+  EXPECT_NE(negative.status().ToString().find("negative event count"),
+            std::string::npos)
+      << negative.status().ToString();
+
+  const auto huge = ParseEventLog(WithEventCount(text, "99999999999999"));
+  ASSERT_TRUE(huge.status().IsInvalidArgument()) << huge.status().ToString();
+  EXPECT_NE(huge.status().ToString().find("event count mismatch"),
+            std::string::npos)
+      << huge.status().ToString();
+}
+
+// LoadEventLogHeader returns exactly the header LoadEventLog reads, with no
+// events, and never looks at the body — a malformed body still loads.
+TEST(EventLogIoTest, LoadHeaderReadsOnlyTheHeader) {
+  const std::string text = SmallEventLogText();
+  const std::string path = "/tmp/ltc_io_test_header.events";
+  WriteFile(path, text).CheckOK();
+  const auto full = LoadEventLog(path);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_GT(full.value().num_events(), 0);
+  const auto header = LoadEventLogHeader(path);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header.value().num_events(), 0);
+  EXPECT_EQ(header.value().epsilon, full.value().epsilon);
+  EXPECT_EQ(header.value().capacity, full.value().capacity);
+  EXPECT_EQ(header.value().acc_min, full.value().acc_min);
+  ASSERT_NE(header.value().accuracy, nullptr);
+  EXPECT_EQ(AccuracyLine(*header.value().accuracy).value(),
+            AccuracyLine(*full.value().accuracy).value());
+
+  // A body LoadEventLog rejects: a garbage record and a cut last line.
+  const std::string body_start = "\nevents ";
+  const std::size_t events_line = text.find(body_start);
+  const std::string bad_body =
+      text.substr(0, text.find('\n', events_line + 1) + 1) +
+      "w not-a-number\nq 1 2\nt 0.5 1";
+  WriteFile(path, bad_body).CheckOK();
+  EXPECT_FALSE(LoadEventLog(path).ok());
+  const auto still = LoadEventLogHeader(path);
+  ASSERT_TRUE(still.ok()) << still.status().ToString();
+  EXPECT_EQ(still.value().epsilon, full.value().epsilon);
+
+  // A header-only file (a WAL's) ends at the first event record.
+  const auto wal_header = SerializeEventLogHeader(full.value());
+  ASSERT_TRUE(wal_header.ok());
+  WriteFile(path, wal_header.value() + "t 0 1 2\n").CheckOK();
+  const auto from_wal = LoadEventLogHeader(path);
+  ASSERT_TRUE(from_wal.ok()) << from_wal.status().ToString();
+  EXPECT_EQ(from_wal.value().capacity, full.value().capacity);
+
+  // A bad header is still an error.
+  WriteFile(path, "# ltc-events v1\nepsilon 2\n").CheckOK();
+  EXPECT_TRUE(LoadEventLogHeader(path).status().IsInvalidArgument());
+  std::remove(path.c_str());
+  EXPECT_FALSE(LoadEventLogHeader(path).ok());
+}
+
 // --------------------------------------------------------------------------
 // Write-ahead log (io/wal.h): the WAL is an ltc-events file, so recovery is
 // ParseEventLog over the durable prefix; these pin the documented recovery

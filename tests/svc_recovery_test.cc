@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/fault_points.h"
 #include "common/string_util.h"
 #include "gen/road.h"
@@ -41,11 +42,13 @@ namespace svc {
 namespace {
 
 io::EventLog MakeLog(std::int64_t tasks, std::int64_t workers,
-                     std::uint64_t seed, double move_fraction = 0.0) {
+                     std::uint64_t seed, double move_fraction = 0.0,
+                     double grid_side = 1000.0) {
   gen::StreamConfig cfg;
   cfg.num_tasks = tasks;
   cfg.num_workers = workers;
   cfg.move_fraction = move_fraction;
+  cfg.grid_side = grid_side;
   cfg.seed = seed;
   auto log = gen::GenerateStreamEvents(cfg);
   log.status().CheckOK();
@@ -85,6 +88,33 @@ RecoverableService::Options ServiceOptions(const std::string& state_dir,
   return o;
 }
 
+/// Finishes `service` and returns everything it reports: the assignment
+/// log, the metrics JSON (wall-clock fields zeroed, recovery fields left
+/// out) and the sim::RunMetrics totals — all of which must be identical
+/// across any crash point.
+std::string FinishedOutputs(RecoverableService* service,
+                            const StreamOptions& options) {
+  ServeReport report;
+  auto metrics = service->Finish();
+  metrics.status().CheckOK();
+  report.metrics = metrics.value();
+  report.run = service->engine().RunMetricsView(0.0);
+  std::string out =
+      RenderAssignmentLog(options, service->assignments(), report.metrics,
+                          &service->engine().worker_moves());
+  out += ServeMetricsJson(report);
+  out += StrFormat(
+      "latency %lld completed %d workers_seen %lld workers_used %lld "
+      "assignments %lld total_acc_star %.17g\n",
+      static_cast<long long>(report.run.latency),
+      report.run.completed ? 1 : 0,
+      static_cast<long long>(report.run.stats.workers_seen),
+      static_cast<long long>(report.run.stats.workers_used),
+      static_cast<long long>(report.run.stats.assignments),
+      report.run.stats.total_acc_star);
+  return out;
+}
+
 /// The golden: one uninterrupted durable run over the whole log.
 std::string GoldenLog(const io::EventLog& log, const StreamOptions& options,
                       const std::string& dir_name) {
@@ -94,10 +124,7 @@ std::string GoldenLog(const io::EventLog& log, const StreamOptions& options,
   for (const io::Event& e : log.events) {
     service.value()->Ingest(e).CheckOK();
   }
-  auto metrics = service.value()->Finish();
-  metrics.status().CheckOK();
-  return RenderAssignmentLog(options, service.value()->assignments(),
-                             metrics.value());
+  return FinishedOutputs(service.value().get(), options);
 }
 
 struct SchedulerPoint {
@@ -113,113 +140,124 @@ const SchedulerPoint kSchedulerMatrix[] = {
 // Satellite 4: Serialize → Restore → continue is assignment-identical to
 // never snapshotting, for every online scheduler × shard count, at several
 // cut points — the pure-engine core of the recovery contract (no WAL, no
-// files, just the snapshot protocol).
+// files, just the snapshot protocol). Two streams: the Table-IV world,
+// where few tasks reach delta, and a 250-side world, where most do — so
+// the snapshots hold closed tasks restored as retired placeholders.
 TEST(SnapshotRoundTripTest, ContinuationMatchesUninterrupted) {
-  const io::EventLog log = MakeLog(50, 1000, 11, /*move_fraction=*/0.15);
-  const std::int64_t n = log.num_events();
-  for (const SchedulerPoint& point : kSchedulerMatrix) {
-    const StreamOptions options = BaseOptions(point.algorithm, point.shards);
+  for (const io::EventLog& log :
+       {MakeLog(50, 1000, 11, /*move_fraction=*/0.15),
+        MakeLog(50, 1000, 11, /*move_fraction=*/0.15, /*grid_side=*/250.0)}) {
+    const std::int64_t n = log.num_events();
+    for (const SchedulerPoint& point : kSchedulerMatrix) {
+      const StreamOptions options = BaseOptions(point.algorithm, point.shards);
 
-    auto golden = ShardedStreamEngine::Create(log, options);
-    golden.status().CheckOK();
-    for (const io::Event& e : log.events) {
-      golden.value()->OnEvent(e).CheckOK();
-    }
-    auto golden_metrics = golden.value()->Finish();
-    golden_metrics.status().CheckOK();
-    const std::string golden_log = RenderAssignmentLog(
-        options, golden.value()->assignments(), golden_metrics.value());
-
-    for (const std::int64_t cut : {n / 4, n / 2, (3 * n) / 4, n - 1}) {
-      auto engine = ShardedStreamEngine::Create(log, options);
-      engine.status().CheckOK();
-      for (std::int64_t i = 0; i < cut; ++i) {
-        engine.value()->OnEvent(log.events[static_cast<std::size_t>(i)])
-            .CheckOK();
+      auto golden = ShardedStreamEngine::Create(log, options);
+      golden.status().CheckOK();
+      for (const io::Event& e : log.events) {
+        golden.value()->OnEvent(e).CheckOK();
       }
-      std::string state;
-      engine.value()->SerializeTo(&state).CheckOK();
+      auto golden_metrics = golden.value()->Finish();
+      golden_metrics.status().CheckOK();
+      const std::string golden_log = RenderAssignmentLog(
+          options, golden.value()->assignments(), golden_metrics.value());
 
-      auto restored = ShardedStreamEngine::Restore(log, options, state);
-      ASSERT_TRUE(restored.ok())
-          << point.algorithm << "@s" << point.shards << " cut " << cut
-          << ": " << restored.status().ToString();
-      // The snapshot bytes are themselves deterministic: re-serialising the
-      // restored engine reproduces them.
-      std::string state2;
-      restored.value()->SerializeTo(&state2).CheckOK();
-      EXPECT_EQ(state, state2)
-          << point.algorithm << "@s" << point.shards << " cut " << cut;
+      for (const std::int64_t cut : {n / 4, n / 2, (3 * n) / 4, n - 1}) {
+        auto engine = ShardedStreamEngine::Create(log, options);
+        engine.status().CheckOK();
+        for (std::int64_t i = 0; i < cut; ++i) {
+          engine.value()->OnEvent(log.events[static_cast<std::size_t>(i)])
+              .CheckOK();
+        }
+        std::string state;
+        engine.value()->SerializeTo(&state).CheckOK();
 
-      for (std::int64_t i = cut; i < n; ++i) {
-        restored.value()->OnEvent(log.events[static_cast<std::size_t>(i)])
-            .CheckOK();
+        auto restored = ShardedStreamEngine::Restore(log, options, state);
+        ASSERT_TRUE(restored.ok())
+            << point.algorithm << "@s" << point.shards << " cut " << cut
+            << ": " << restored.status().ToString();
+        // The snapshot bytes are themselves deterministic: re-serialising the
+        // restored engine reproduces them.
+        std::string state2;
+        restored.value()->SerializeTo(&state2).CheckOK();
+        EXPECT_EQ(state, state2)
+            << point.algorithm << "@s" << point.shards << " cut " << cut;
+
+        for (std::int64_t i = cut; i < n; ++i) {
+          restored.value()->OnEvent(log.events[static_cast<std::size_t>(i)])
+              .CheckOK();
+        }
+        auto metrics = restored.value()->Finish();
+        metrics.status().CheckOK();
+        const std::string continued = RenderAssignmentLog(
+            options, restored.value()->assignments(), metrics.value());
+        EXPECT_EQ(continued, golden_log)
+            << point.algorithm << "@s" << point.shards << " cut " << cut;
       }
-      auto metrics = restored.value()->Finish();
-      metrics.status().CheckOK();
-      const std::string continued = RenderAssignmentLog(
-          options, restored.value()->assignments(), metrics.value());
-      EXPECT_EQ(continued, golden_log)
-          << point.algorithm << "@s" << point.shards << " cut " << cut;
     }
   }
 }
 
-// The acceptance sweep: >= 50 randomized crash points across schedulers ×
+// The acceptance sweep: >= 100 randomized crash points across schedulers ×
 // shard counts. Each crash destroys the service mid-stream without Finish
 // (dropping the WAL's unflushed group-commit window); the reopened service
 // recovers, re-ingests the lost suffix from the source log, and must land
 // on the golden byte-identical assignment log.
 TEST(CrashRecoveryTest, RandomizedCrashPointsRecoverByteIdentical) {
-  const io::EventLog log = MakeLog(50, 1000, 23, /*move_fraction=*/0.1);
-  const std::int64_t n = log.num_events();
+  // The Table-IV world, where few tasks reach delta, and a 250-side world,
+  // where most do (closed tasks restore as retired placeholders).
+  const io::EventLog logs[] = {
+      MakeLog(50, 1000, 23, /*move_fraction=*/0.1),
+      MakeLog(50, 1000, 23, /*move_fraction=*/0.1, /*grid_side=*/250.0)};
   std::mt19937 rng(1234);
-  std::uniform_int_distribution<std::int64_t> pick(1, n - 1);
 
   int crashes = 0;
-  for (const SchedulerPoint& point : kSchedulerMatrix) {
-    const StreamOptions options = BaseOptions(point.algorithm, point.shards);
-    const std::string tag =
-        std::string(point.algorithm) + "_s" + std::to_string(point.shards);
-    const std::string golden = GoldenLog(log, options, "golden_" + tag);
+  for (int l = 0; l < 2; ++l) {
+    const io::EventLog& log = logs[l];
+    const std::int64_t n = log.num_events();
+    std::uniform_int_distribution<std::int64_t> pick(1, n - 1);
+    for (const SchedulerPoint& point : kSchedulerMatrix) {
+      const StreamOptions options = BaseOptions(point.algorithm, point.shards);
+      const std::string tag = std::string(point.algorithm) + "_s" +
+                              std::to_string(point.shards) + "_l" +
+                              std::to_string(l);
+      const std::string golden = GoldenLog(log, options, "golden_" + tag);
 
-    for (int rep = 0; rep < 7; ++rep) {
-      const std::int64_t crash_at = pick(rng);
-      const std::string dir =
-          FreshDir("crash_" + tag + "_" + std::to_string(rep));
-      // Snapshot and group-commit cadences deliberately small and co-prime,
-      // so crash points land in every phase of both windows.
-      const auto sopts = ServiceOptions(dir, options, 97, 16);
-      {
+      for (int rep = 0; rep < 7; ++rep) {
+        const std::int64_t crash_at = pick(rng);
+        const std::string dir =
+            FreshDir("crash_" + tag + "_" + std::to_string(rep));
+        // Snapshot and group-commit cadences deliberately small and co-prime,
+        // so crash points land in every phase of both windows.
+        const auto sopts = ServiceOptions(dir, options, 97, 16);
+        {
+          auto service = RecoverableService::Open(log, sopts);
+          service.status().CheckOK();
+          for (std::int64_t i = 0; i < crash_at; ++i) {
+            service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
+                .CheckOK();
+          }
+          // Crash: no Finish, no Close — the destructor drops the unflushed
+          // WAL window (io/wal.h).
+        }
         auto service = RecoverableService::Open(log, sopts);
-        service.status().CheckOK();
-        for (std::int64_t i = 0; i < crash_at; ++i) {
+        ASSERT_TRUE(service.ok()) << tag << " crash@" << crash_at << ": "
+                                  << service.status().ToString();
+        const RecoverableService::RecoveryInfo& r = service.value()->recovery();
+        EXPECT_TRUE(r.recovered);
+        EXPECT_LE(r.wal_records, crash_at);
+        EXPECT_EQ(service.value()->events_applied(), r.wal_records);
+        for (std::int64_t i = service.value()->events_applied(); i < n; ++i) {
           service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
               .CheckOK();
         }
-        // Crash: no Finish, no Close — the destructor drops the unflushed
-        // WAL window (io/wal.h).
+        const std::string recovered_log =
+            FinishedOutputs(service.value().get(), options);
+        EXPECT_EQ(recovered_log, golden) << tag << " crash@" << crash_at;
+        ++crashes;
       }
-      auto service = RecoverableService::Open(log, sopts);
-      ASSERT_TRUE(service.ok()) << tag << " crash@" << crash_at << ": "
-                                << service.status().ToString();
-      const RecoverableService::RecoveryInfo& r = service.value()->recovery();
-      EXPECT_TRUE(r.recovered);
-      EXPECT_LE(r.wal_records, crash_at);
-      EXPECT_EQ(service.value()->events_applied(), r.wal_records);
-      for (std::int64_t i = service.value()->events_applied(); i < n; ++i) {
-        service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
-            .CheckOK();
-      }
-      auto metrics = service.value()->Finish();
-      metrics.status().CheckOK();
-      const std::string recovered_log = RenderAssignmentLog(
-          options, service.value()->assignments(), metrics.value());
-      EXPECT_EQ(recovered_log, golden) << tag << " crash@" << crash_at;
-      ++crashes;
     }
   }
-  EXPECT_GE(crashes, 50);
+  EXPECT_GE(crashes, 100);
 }
 
 // The adaptive deadline's forecast state travels in the snapshot and the
@@ -265,10 +303,8 @@ TEST(CrashRecoveryTest, AdaptiveDeadlineRecoversByteIdentical) {
         service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
             .CheckOK();
       }
-      auto metrics = service.value()->Finish();
-      metrics.status().CheckOK();
-      const std::string recovered_log = RenderAssignmentLog(
-          options, service.value()->assignments(), metrics.value());
+      const std::string recovered_log =
+          FinishedOutputs(service.value().get(), options);
       EXPECT_EQ(recovered_log, golden) << tag << " crash@" << crash_at;
     }
   }
@@ -343,10 +379,8 @@ TEST(CrashRecoveryTest, SubnormalForecastRateRecoversByteIdentical) {
         service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
             .CheckOK();
       }
-      auto metrics = service.value()->Finish();
-      metrics.status().CheckOK();
-      const std::string recovered_log = RenderAssignmentLog(
-          options, service.value()->assignments(), metrics.value());
+      const std::string recovered_log =
+          FinishedOutputs(service.value().get(), options);
       EXPECT_EQ(recovered_log, golden) << tag << " crash@" << crash_at;
     }
   }
@@ -386,11 +420,7 @@ TEST(CrashRecoveryTest, RoutedWorkersOnRoadMetricRecoverByteIdentical) {
   const std::int64_t n = log.num_events();
 
   auto render = [](const StreamOptions& options, RecoverableService* service) {
-    auto metrics = service->Finish();
-    metrics.status().CheckOK();
-    return RenderAssignmentLog(options, service->assignments(),
-                               metrics.value(),
-                               &service->engine().worker_moves(), "road");
+    return FinishedOutputs(service, options);
   };
 
   for (const int shards : {1, 4}) {
@@ -473,11 +503,7 @@ TEST(CrashRecoveryTest, TornWalTailIsTruncatedAndRecovered) {
     service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
         .CheckOK();
   }
-  auto metrics = service.value()->Finish();
-  metrics.status().CheckOK();
-  EXPECT_EQ(RenderAssignmentLog(options, service.value()->assignments(),
-                                metrics.value()),
-            golden);
+  EXPECT_EQ(FinishedOutputs(service.value().get(), options), golden);
 }
 
 /// Crashes a durable run at `crash_at`, lets `damage` vandalise the state
@@ -506,10 +532,7 @@ std::string DamagedRecoveryLog(const io::EventLog& log,
     service.value()->Ingest(log.events[static_cast<std::size_t>(i)])
         .CheckOK();
   }
-  auto metrics = service.value()->Finish();
-  metrics.status().CheckOK();
-  return RenderAssignmentLog(options, service.value()->assignments(),
-                             metrics.value());
+  return FinishedOutputs(service.value().get(), options);
 }
 
 // A corrupt newest snapshot (CRC mismatch) is discarded; recovery falls
@@ -595,6 +618,48 @@ TEST(CrashRecoveryTest, SnapshotAheadOfWalIsDiscarded) {
   EXPECT_EQ(r.snapshot_events, 0);  // full WAL replay
 }
 
+// A snapshot of format v1 (the full-history format an older build wrote)
+// is discarded even with a valid CRC: recovery falls back to a full WAL
+// replay and still reaches the golden outputs.
+TEST(CrashRecoveryTest, LeftoverV1SnapshotIsDiscarded) {
+  const io::EventLog log = MakeLog(30, 600, 89);
+  const StreamOptions options = BaseOptions("AAM", 1);
+  const std::string golden = GoldenLog(log, options, "v1_golden");
+
+  RecoverableService::RecoveryInfo info;
+  const std::string recovered = DamagedRecoveryLog(
+      log, options, FreshDir("v1"),
+      [](const std::string& snap_dir) {
+        int rewritten = 0;
+        for (const auto& entry :
+             std::filesystem::directory_iterator(snap_dir)) {
+          const std::string path = entry.path().string();
+          if (entry.path().filename().string().rfind("snap-", 0) != 0) {
+            continue;
+          }
+          auto text = io::ReadFile(path);
+          text.status().CheckOK();
+          const std::string v2 = "# ltc-snapshot v2\n";
+          ASSERT_EQ(text.value().rfind(v2, 0), 0u) << path;
+          // Re-frame the same payload as v1, with a CRC that matches.
+          std::string body = "# ltc-snapshot v1\n" +
+                             text.value().substr(
+                                 v2.size(), text.value().rfind("crc32 ") -
+                                                v2.size());
+          body += StrFormat("crc32 %08x\n", Crc32(body));
+          io::WriteFile(path, body).CheckOK();
+          ++rewritten;
+        }
+        EXPECT_EQ(rewritten, 2);
+      },
+      &info);
+  EXPECT_EQ(info.snapshots_discarded, 2);
+  EXPECT_EQ(info.snapshot_events, 0);
+  EXPECT_GT(info.replayed, 0);
+  EXPECT_EQ(info.replayed, info.wal_records);
+  EXPECT_EQ(recovered, golden);
+}
+
 // Armed fault points turn WAL and ingest sites into surfaced IOErrors
 // instead of silent corruption.
 TEST(FaultInjectionTest, WalAndIngestFaultsSurface) {
@@ -658,8 +723,11 @@ TEST(FaultInjectionTest, FsyncFaultSurfacesWhenFsyncEnabled) {
 // RunDurableService end to end: fresh run, then a re-run over the same
 // state dir (full recovery, zero re-ingest) must reproduce the log.
 TEST(DurableServeTest, RerunOverRecoveredStateIsIdentical) {
-  const io::EventLog log = MakeLog(20, 400, 59);
-  const StreamOptions options = BaseOptions("MCF", 4);
+  const io::EventLog log = MakeLog(20, 2000, 59);
+  StreamOptions options = BaseOptions("MCF", 4);
+  // No moves, so Finish validates — on the re-run, an arrangement whose
+  // closed tasks were restored as retired placeholders.
+  options.validate = true;
   DurableConfig dcfg;
   dcfg.state_dir = FreshDir("durable_rerun");
   dcfg.snapshot_every = 100;
@@ -674,6 +742,9 @@ TEST(DurableServeTest, RerunOverRecoveredStateIsIdentical) {
   EXPECT_TRUE(second.value().recovery.recovered);
   EXPECT_EQ(second.value().recovery.replayed, 0);
   EXPECT_EQ(second.value().assignment_log, first.value().assignment_log);
+  EXPECT_TRUE(first.value().metrics.validated);
+  EXPECT_TRUE(second.value().metrics.validated);
+  EXPECT_GT(second.value().metrics.tasks_completed, 0);
 }
 
 /// `state` with field `field` of the first `key` record replaced by
@@ -708,10 +779,13 @@ TEST(SnapshotRoundTripTest, BadRecordCountsAreRejected) {
     const char* key;
     std::size_t field;
   };
-  // Engine-level counts, pipeline-level counts, and a route's stop count.
-  for (const Damage d : {Damage{"log", 1}, Damage{"moves", 1},
-                         Damage{"tasks", 1}, Damage{"ptasks", 1},
-                         Damage{"pworkers", 1}, Damage{"pr", 6}}) {
+  // Engine-level counts, pipeline-level counts, a route's stop count, and
+  // the dense id-space sizes (field 2 of "tasks", "ptasks", "pworkers"),
+  // which are bounded by the event counters instead of the lines left.
+  for (const Damage d :
+       {Damage{"log", 1}, Damage{"moves", 1}, Damage{"tasks", 1},
+        Damage{"ptasks", 1}, Damage{"pworkers", 1}, Damage{"pr", 6},
+        Damage{"tasks", 2}, Damage{"ptasks", 2}, Damage{"pworkers", 2}}) {
     for (const char* count : {"-1", "100000000000"}) {
       const std::string damaged = ReplaceField(state, d.key, d.field, count);
       ASSERT_NE(damaged, state) << d.key;
@@ -770,6 +844,75 @@ TEST(DurableServeTest, InMemoryAndDurableLogsAreByteIdentical) {
   }
 }
 
+/// Records of an engine-state blob other than the output histories it
+/// keeps on purpose: the assignment log ("A"), the move log ("M") and the
+/// latency samples ("l").
+std::int64_t LiveRecords(const std::string& state) {
+  std::int64_t n = 0;
+  std::size_t begin = 0;
+  while (begin < state.size()) {
+    const std::size_t end = state.find('\n', begin);
+    const std::string_view line(state.data() + begin,
+                                (end == std::string::npos ? state.size()
+                                                          : end) -
+                                    begin);
+    if (line.rfind("A ", 0) != 0 && line.rfind("M ", 0) != 0 &&
+        line.rfind("l ", 0) != 0) {
+      ++n;
+    }
+    if (end == std::string::npos) break;
+    begin = end + 1;
+  }
+  return n;
+}
+
+// A snapshot holds live state, not history: on a stationary stream the
+// records beyond the A/M/l output logs stay flat in stream length. The
+// engine state after 4N events may hold at most 1.5x the records it held
+// after N events. Stationary means constant arrival rates over a stream
+// long against every live-state lifetime: at 2 tasks and 80 workers per
+// time unit the first N events span ~200 time units, several times the
+// longest route a worker drives at unit speed.
+TEST(SnapshotSizeTest, LiveStateIsFlatOnAStationaryStream) {
+  gen::StreamConfig cfg;
+  cfg.num_tasks = 1600;
+  cfg.num_workers = 64000;
+  cfg.task_rate = 2.0;
+  cfg.worker_rate = 80.0;
+  cfg.seed = 71;
+  auto generated = gen::GenerateStreamEvents(cfg);
+  generated.status().CheckOK();
+  const io::EventLog log = std::move(generated).value();
+  const std::int64_t n = log.num_events() / 4;
+
+  StreamOptions laf = BaseOptions("LAF", 1);
+  laf.batch_deadline = 0.0;
+  StreamOptions mcf = BaseOptions("MCF", 1);
+  mcf.deadline_policy = DeadlinePolicy::kAdaptive;
+  mcf.route_workers = true;
+  for (const StreamOptions& options : {laf, mcf}) {
+    auto engine = ShardedStreamEngine::Create(log, options);
+    engine.status().CheckOK();
+    std::int64_t at_n = 0;
+    std::string state;
+    for (std::int64_t i = 0; i < log.num_events(); ++i) {
+      engine.value()->OnEvent(log.events[static_cast<std::size_t>(i)])
+          .CheckOK();
+      if (i + 1 == n) {
+        engine.value()->SerializeTo(&state).CheckOK();
+        at_n = LiveRecords(state);
+      }
+    }
+    state.clear();
+    engine.value()->SerializeTo(&state).CheckOK();
+    const std::int64_t at_4n = LiveRecords(state);
+    EXPECT_GT(at_n, 0) << options.algorithm;
+    EXPECT_LE(static_cast<double>(at_4n), 1.5 * static_cast<double>(at_n))
+        << options.algorithm << ": " << at_n << " live records after " << n
+        << " events, " << at_4n << " after " << 4 * n;
+  }
+}
+
 // --- Golden snapshot bytes: any drift in the number codec (digits,
 // exponent form, integer widths) fails here before it can reach a state
 // directory. ---
@@ -803,8 +946,10 @@ io::EventLog GoldenStream() {
   return log;
 }
 
-std::string GoldenStreamState(const StreamOptions& options) {
-  const io::EventLog log = GoldenStream();
+std::string GoldenStreamState(const StreamOptions& options,
+                              double epsilon = 0.1) {
+  io::EventLog log = GoldenStream();
+  log.epsilon = epsilon;
   auto engine = ShardedStreamEngine::Create(log, options);
   engine.status().CheckOK();
   for (const io::Event& e : log.events) {
@@ -818,10 +963,10 @@ std::string GoldenStreamState(const StreamOptions& options) {
 constexpr char kGoldenLafState[] = R"(shards 1
 clock 0.84999999999999998
 counters 10 3 6 1 0 0
-tasks 3
-r 0 0 1
-r 0 1 1
-r 0 2 1
+tasks 3 3
+r 0 0 0
+r 1 0 1
+r 2 0 2
 displaced 0
 claims 0
 log 10
@@ -836,19 +981,19 @@ A 0.69999999999999996 5 1
 A 0.69999999999999996 5 0
 A 0.84999999999999998 6 2
 pipeline 0
-ptasks 3
-pt 0 0 100.25 100.5
-pt 1 0.10000000000000001 110 104.75
-pt 2 0.29999999999999999 640.33333333333337 470
-pworkers 6
-pw 1 101 99 0.90000000000000002
-pw 2 108.5 103 0.82999999999999996
-pw 3 105 102 0.70999999999999996
-pw 4 635 472.5 0.94999999999999996
-pw 5 111 105 0.88
-pw 6 642 469 0.77000000000000002
+ptasks 3 3
+pt 0 0 0 100.25 100.5
+pt 1 1 0.10000000000000001 110 104.75
+pt 2 2 0.29999999999999999 640.33333333333337 470
+pworkers 6 6
+pw 1 1 101 99 0.90000000000000002
+pw 2 2 108.5 103 0.82999999999999996
+pw 3 3 105 102 0.70999999999999996
+pw 4 4 635 472.5 0.94999999999999996
+pw 5 5 111 105 0.88
+pw 6 6 642 469 0.77000000000000002
 pbatch 0.84999999999999998 0
-pcounters 6 1 0
+pcounters 6 1 0 0 0
 plat_a 10
 l 0.14999999999999999
 l 0.049999999999999989
@@ -861,7 +1006,8 @@ l 0.59999999999999998
 l 0.69999999999999996
 l 0.55000000000000004
 plat_c 0
-sched 10
+sched 11
+arr 10 6 4.7607999581528295
 a 1 0 0.63999999999855806
 a 1 1 0.63999998828276561
 a 2 1 0.43559999999794469
@@ -878,10 +1024,10 @@ endpipe
 constexpr char kGoldenMcfAdaptiveRoutesState[] = R"(shards 1
 clock 0.84999999999999998
 counters 10 3 6 1 0 0
-tasks 3
-r 0 0 1
-r 0 1 1
-r 0 2 1
+tasks 3 3
+r 0 0 0
+r 1 0 1
+r 2 0 2
 displaced 0
 claims 0
 log 10
@@ -897,19 +1043,19 @@ A 0.84999999999999998 5 1
 A 0.84999999999999998 6 2
 moves 0
 pipeline 0
-ptasks 3
-pt 0 0 100.25 100.5
-pt 1 0.10000000000000001 110 104.75
-pt 2 0.29999999999999999 640.33333333333337 470
-pworkers 6
-pw 1 101 99 0.90000000000000002
-pw 2 108.5 103 0.82999999999999996
-pw 3 105 102 0.70999999999999996
-pw 4 635 472.5 0.94999999999999996
-pw 5 111 105 0.88
-pw 6 642 469 0.77000000000000002
+ptasks 3 3
+pt 0 0 0 100.25 100.5
+pt 1 1 0.10000000000000001 110 104.75
+pt 2 2 0.29999999999999999 640.33333333333337 470
+pworkers 6 6
+pw 1 1 101 99 0.90000000000000002
+pw 2 2 108.5 103 0.82999999999999996
+pw 3 3 105 102 0.70999999999999996
+pw 4 4 635 472.5 0.94999999999999996
+pw 5 5 111 105 0.88
+pw 6 6 642 469 0.77000000000000002
 pbatch 0.84999999999999998 0
-pcounters 6 1 0
+pcounters 6 1 0 6 60.371872634816455
 plat_a 10
 l 0.20000000000000001
 l 0.10000000000000001
@@ -922,7 +1068,8 @@ l 0.84999999999999998
 l 0.75
 l 0.55000000000000004
 plat_c 0
-sched 11
+sched 12
+arr 10 6 4.7607999581528304
 a 1 0 0.63999999999855806
 a 1 1 0.63999998828276561
 a 2 0 0.43559999886323669
@@ -964,41 +1111,91 @@ endpipe
 constexpr char kGoldenRandomOpenBatchState[] = R"(shards 2
 clock 0.84999999999999998
 counters 10 3 6 1 0 0
-tasks 3
-r 0 0 1
-r 0 1 1
+tasks 3 3
+r 0 0 0
 r 1 0 1
+r 2 1 0
 displaced 0
 claims 0
 log 0
 pipeline 0
-ptasks 2
-pt 0 0 100.25 100.5
-pt 1 0.10000000000000001 110 104.75
-pworkers 4
-pw 1 101 99 0.90000000000000002
-pw 2 108.5 103 0.82999999999999996
-pw 3 105 102 0.70999999999999996
-pw 5 111 105 0.88
+ptasks 2 2
+pt 0 0 0 100.25 100.5
+pt 1 1 0.10000000000000001 110 104.75
+pworkers 4 4
+pw 1 1 101 99 0.90000000000000002
+pw 2 2 108.5 103 0.82999999999999996
+pw 3 3 105 102 0.70999999999999996
+pw 4 5 111 105 0.88
 pbatch 0.14999999999999999 4 1 2 3 4
-pcounters 0 0 0
+pcounters 0 0 0 0 0
 plat_a 0
 plat_c 0
-sched 1
+sched 2
+arr 0 0 0
 x rng 7191089600892374487 309689372594955804 16616101746815609346 10753165928301472203 0 0
 endpipe
 pipeline 1
-ptasks 1
-pt 2 0.29999999999999999 640.33333333333337 470
-pworkers 2
-pw 4 635 472.5 0.94999999999999996
-pw 6 642 469 0.77000000000000002
+ptasks 1 1
+pt 0 2 0.29999999999999999 640.33333333333337 470
+pworkers 2 2
+pw 1 4 635 472.5 0.94999999999999996
+pw 2 6 642 469 0.77000000000000002
 pbatch 0.59999999999999998 2 1 2
-pcounters 0 0 0
+pcounters 0 0 0 0 0
 plat_a 0
 plat_c 0
-sched 1
+sched 2
+arr 0 0 0
 x rng 17039259473404265729 18363971414914884509 8043341295829897994 2742686685723344479 0 0
+endpipe
+)";
+
+constexpr char kGoldenAamClosedTasksState[] = R"(shards 1
+clock 0.84999999999999998
+counters 10 3 6 1 0 0
+tasks 1 3
+r 2 0 2
+displaced 0
+claims 0
+log 10
+A 0.14999999999999999 1 0
+A 0.14999999999999999 1 1
+A 0.20000000000000001 2 1
+A 0.20000000000000001 2 0
+A 0.45000000000000001 3 1
+A 0.45000000000000001 3 0
+A 0.59999999999999998 4 2
+A 0.69999999999999996 5 1
+A 0.69999999999999996 5 0
+A 0.84999999999999998 6 2
+pipeline 0
+ptasks 1 3
+pt 2 2 0.29999999999999999 640.33333333333337 470
+pworkers 2 6
+pw 4 4 635 472.5 0.94999999999999996
+pw 6 6 642 469 0.77000000000000002
+pbatch 0.84999999999999998 0
+pcounters 6 1 2 0 0
+plat_a 10
+l 0.14999999999999999
+l 0.049999999999999989
+l 0.10000000000000001
+l 0.20000000000000001
+l 0.34999999999999998
+l 0.45000000000000001
+l 0.29999999999999999
+l 0.59999999999999998
+l 0.69999999999999996
+l 0.55000000000000004
+plat_c 2
+l 0.59999999999999998
+l 0.69999999999999996
+sched 4
+arr 2 6 4.7607999581528295
+a 4 2 0.80999999988431637
+a 6 2 0.29159999999891323
+x aam 0.28469436123666081
 endpipe
 )";
 
@@ -1016,6 +1213,13 @@ TEST(SnapshotGoldenTest, SerializeToBytesArePinned) {
   StreamOptions random = BaseOptions("Random", 2);
   random.batch_deadline = 10.0;
   EXPECT_EQ(GoldenStreamState(random), kGoldenRandomOpenBatchState);
+
+  // epsilon 0.5 (delta = 2 ln 2) closes tasks 0 and 1: their routes, "pt"
+  // and "a" records and the workers only they referenced are gone, leaving
+  // the id-space sizes, AAM's running sum and the A/l histories.
+  StreamOptions aam = BaseOptions("AAM", 1);
+  aam.batch_deadline = 0.0;
+  EXPECT_EQ(GoldenStreamState(aam, 0.5), kGoldenAamClosedTasksState);
 }
 
 // Restoring into a different topology is refused loudly instead of
